@@ -460,13 +460,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _inject_config_file(argv: list[str]) -> list[str]:
-    """Expand --config FILE into flags placed before the explicit ones."""
-    if "--config" not in argv:
+    """Expand --config FILE or --config=FILE into flags placed before the
+    explicit ones."""
+    for at, token in enumerate(argv):
+        if token == "--config":
+            if at + 1 >= len(argv):
+                raise ConfigError("--config needs a file argument")
+            path, rest = Path(argv[at + 1]), argv[:at] + argv[at + 2 :]
+            break
+        if token.startswith("--config="):
+            path, rest = Path(token.partition("=")[2]), argv[:at] + argv[at + 1 :]
+            break
+    else:
         return argv
-    at = argv.index("--config")
-    if at + 1 >= len(argv):
-        raise ConfigError("--config needs a file argument")
-    path = Path(argv[at + 1])
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     injected: list[str] = []
@@ -478,7 +484,6 @@ def _inject_config_file(argv: list[str]) -> list[str]:
         if not sep:
             raise ConfigError(f"config line is not key=value: {raw!r}")
         injected.extend([f"--{key.strip()}", value.strip()])
-    rest = argv[:at] + argv[at + 2 :]
     if not rest:
         raise ConfigError("config file given without a subcommand")
     return rest[:1] + injected + rest[1:]
@@ -490,10 +495,9 @@ def main(argv: list[str] | None = None) -> int:
         argv = _inject_config_file(argv)
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
+        # ConfigError is a ValueError; a library ValueError is a violated
+        # precondition of the requested run, so both are configuration errors.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except linalg.ConvergenceError as exc:

@@ -45,16 +45,11 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class MicrostateParams:
-    """Moment order, tolerance, and size for microstate membership.
-
-    ``norm_cap`` is accepted for interface fidelity but not enforced; the
-    scan never restricts operator norms.
-    """
+    """Moment order, tolerance, and size for microstate membership."""
 
     m: int
     gamma: float
     k: int
-    norm_cap: float | None = None
 
     def __post_init__(self):
         if self.m < 1:
@@ -258,18 +253,14 @@ def dimension_scan(
             f_lb_total = dyson.separation_integral_lower_bound(
                 lam, eps, delta, normalized=False
             ).log_value
-        except (ConfigError, ValueError) as exc:
-            logger.warning("scan skips eps=%g: %s", eps, exc)
-            continue
-        total = (
-            packing_lower_bound_log(eps, bigN, k, f_lb_total, log_vol_omega_per_dim)
-            + chi_offset
-        )
-        log_eps = abs(math.log(eps))
-        f_lb_norm = f_lb_total / (n * n)
-        const_term = total / (n * n) - (2.0 - 1.0 / bigN) * log_eps - f_lb_norm
-        rows.append(
-            ScanRow(
+            total = (
+                packing_lower_bound_log(eps, bigN, k, f_lb_total, log_vol_omega_per_dim)
+                + chi_offset
+            )
+            log_eps = abs(math.log(eps))
+            f_lb_norm = f_lb_total / (n * n)
+            const_term = total / (n * n) - (2.0 - 1.0 / bigN) * log_eps - f_lb_norm
+            row = ScanRow(
                 eps=float(eps),
                 delta=delta,
                 bigN=bigN,
@@ -280,7 +271,10 @@ def dimension_scan(
                 log_packing_lb=total,
                 chi_offset=chi_offset,
             )
-        )
+        except (ConfigError, ValueError) as exc:
+            logger.warning("scan skips eps=%g: %s", eps, exc)
+            continue
+        rows.append(row)
     return rows
 
 

@@ -138,7 +138,6 @@ def spectral_radius_bound(a, max_power: int = 16) -> float:
 
 
 _HESS_PANEL = 32
-_HESS_BLOCK_MIN = 96
 _HESS_SLICE = 128
 
 
@@ -162,37 +161,9 @@ def _reflector(x: np.ndarray) -> tuple[np.ndarray | None, complex]:
     return v, -phase * xnorm
 
 
-def _hessenberg_small(h: np.ndarray, q: np.ndarray | None) -> None:
-    """Column-at-a-time Householder reduction, rank-1 updates."""
-    n = h.shape[0]
-    buf = np.empty((n, n), dtype=np.complex128)
-    for j in range(n - 2):
-        v, _ = _reflector(h[j + 1 :, j])
-        if v is None:
-            h[j + 2 :, j] = 0.0
-            continue
-        v2 = 2.0 * v
-        vc = v.conj()
-        vc2 = 2.0 * vc
-        m = v.size
-        w = vc @ h[j + 1 :, j:]
-        rank1 = buf[:m, : w.size]
-        np.multiply.outer(v2, w, out=rank1)
-        h[j + 1 :, j:] -= rank1
-        w = h[:, j + 1 :] @ v
-        rank1 = buf[: w.size, :m]
-        np.multiply.outer(w, vc2, out=rank1)
-        h[:, j + 1 :] -= rank1
-        if q is not None:
-            w = q[:, j + 1 :] @ v
-            rank1 = buf[: w.size, :m]
-            np.multiply.outer(w, vc2, out=rank1)
-            q[:, j + 1 :] -= rank1
-        h[j + 2 :, j] = 0.0
-
-
-def _hessenberg_blocked(h: np.ndarray, q: np.ndarray | None) -> None:
-    """Panelled Householder reduction in compact WY form.
+def _hessenberg(h: np.ndarray, q: np.ndarray | None) -> None:
+    """In-place Householder reduction to upper Hessenberg form, in compact WY
+    panels; q, when given, absorbs the reflectors from the right.
 
     Reflectors inside a panel are aggregated as I - V T V* so the trailing
     matrix and q absorb whole panels through matrix products instead of one
@@ -257,14 +228,6 @@ def _hessenberg_blocked(h: np.ndarray, q: np.ndarray | None) -> None:
                 rows = q[c : c + _HESS_SLICE, r0:]
                 rows -= (rows @ vp @ t) @ vp.conj().T
         j0 = jb
-
-
-def _hessenberg(h: np.ndarray, q: np.ndarray | None) -> None:
-    """In-place Householder reduction to upper Hessenberg form."""
-    if h.shape[0] < _HESS_BLOCK_MIN:
-        _hessenberg_small(h, q)
-    else:
-        _hessenberg_blocked(h, q)
 
 
 def _wilkinson_shift(h: np.ndarray, hi: int) -> complex:

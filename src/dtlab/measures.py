@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import integrate
+from scipy.spatial import cKDTree
 
 from .rng import substream
 
@@ -135,33 +135,6 @@ class CompactMeasure:
         out.extend((p, p.mass) for p in self.diffuse)
         return out
 
-    def with_atom_tail_folded(self, coverage: float = 1.0 - 1e-6) -> "CompactMeasure":
-        """Keep the heaviest atoms up to the requested mass coverage.
-
-        The dropped tail is folded into the diffuse part as an empirical
-        cloud at the original atom locations, so total mass is unchanged.
-        """
-        if not self.atoms:
-            return self
-        order = sorted(range(len(self.atoms)), key=lambda i: -self.atoms[i][1])
-        kept: list[int] = []
-        acc = 0.0
-        for i in order:
-            if acc >= coverage - _MASS_TOL:
-                break
-            kept.append(i)
-            acc += self.atoms[i][1]
-        kept_set = set(kept)
-        dropped = [i for i in range(len(self.atoms)) if i not in kept_set]
-        if not dropped:
-            return self
-        tail_mass = sum(self.atoms[i][1] for i in dropped)
-        tail = EmpiricalPart(
-            np.array([self.atoms[i][0] for i in dropped]), tail_mass
-        )
-        new_atoms = tuple(self.atoms[i] for i in sorted(kept_set))
-        return CompactMeasure(atoms=new_atoms, diffuse=self.diffuse + (tail,))
-
 
 @dataclass(frozen=True)
 class PerturbedMeasure:
@@ -203,40 +176,40 @@ def smear_atoms(mu: CompactMeasure, c: float, eps: float) -> PerturbedMeasure:
 # Close-pair mass
 
 
-def _lens_area(d: float, r1: float, r2: float) -> float:
-    """Area of the intersection of disks with radii r1, r2 at center distance d."""
-    if d >= r1 + r2:
-        return 0.0
-    if d <= abs(r1 - r2):
-        r = min(r1, r2)
-        return math.pi * r * r
+def _lens_area(d: np.ndarray, r1: float, r2: float) -> np.ndarray:
+    """Areas of the intersections of disks with radii r1, r2 at center distances d."""
+    d = np.asarray(d, dtype=float)
+    partial = (d > abs(r1 - r2)) & (d < r1 + r2)
+    # Outside the partial-overlap range the lens formula is not used; r1 + r2
+    # keeps its divisions finite there.
+    x = np.where(partial, d, r1 + r2)
     # Clamp the acos arguments; d near the boundary can drift past [-1, 1].
-    a1 = (d * d + r1 * r1 - r2 * r2) / (2.0 * d * r1)
-    a2 = (d * d + r2 * r2 - r1 * r1) / (2.0 * d * r2)
-    a1 = min(1.0, max(-1.0, a1))
-    a2 = min(1.0, max(-1.0, a2))
-    s = (-d + r1 + r2) * (d + r1 - r2) * (d - r1 + r2) * (d + r1 + r2)
-    return (
-        r1 * r1 * math.acos(a1)
-        + r2 * r2 * math.acos(a2)
-        - 0.5 * math.sqrt(max(0.0, s))
+    a1 = np.clip((x * x + r1 * r1 - r2 * r2) / (2.0 * x * r1), -1.0, 1.0)
+    a2 = np.clip((x * x + r2 * r2 - r1 * r1) / (2.0 * x * r2), -1.0, 1.0)
+    s = (-x + r1 + r2) * (x + r1 - r2) * (x - r1 + r2) * (x + r1 + r2)
+    lens = (
+        r1 * r1 * np.arccos(a1)
+        + r2 * r2 * np.arccos(a2)
+        - 0.5 * np.sqrt(np.maximum(s, 0.0))
     )
+    r = min(r1, r2)
+    return np.where(partial, lens, np.where(d <= abs(r1 - r2), math.pi * r * r, 0.0))
 
 
 def _same_disk_pair_prob(radius: float, delta: float) -> float:
-    """P(|w1 - w2| < delta) for independent uniform points in one disk."""
+    """P(|w1 - w2| < delta) for independent uniform points in one disk.
+
+    Closed-form distance CDF with t = delta / radius:
+    1 + (2/pi) [(t^2 - 1) acos(t/2) - (t/2)(1 + t^2/2) sqrt(1 - t^2/4)].
+    """
     if delta <= 0:
         return 0.0
-    if delta >= 2 * radius:
+    t = delta / radius
+    if t >= 2.0:
         return 1.0
-    area = math.pi * radius * radius
-
-    def integrand(r: float) -> float:
-        return (2.0 * r / (radius * radius)) * _lens_area(r, delta, radius) / area
-
-    breaks = [b for b in (abs(radius - delta),) if 0.0 < b < radius]
-    value, _ = integrate.quad(
-        integrand, 0.0, radius, points=breaks or None, limit=200
+    h = 0.5 * t
+    value = 1.0 + (2.0 / math.pi) * (
+        (t * t - 1.0) * math.acos(h) - h * (1.0 + 0.5 * t * t) * math.sqrt(1.0 - h * h)
     )
     return min(1.0, max(0.0, value))
 
@@ -263,7 +236,7 @@ def _disk_disk_pair_prob(
     wt = math.pi * wx
     rr, tt = np.meshgrid(r, th, indexing="ij")
     dist = np.sqrt(rr * rr + d12 * d12 - 2.0 * rr * d12 * np.cos(tt))
-    lens = np.vectorize(lambda t: _lens_area(t, delta, r2))(dist)
+    lens = _lens_area(dist, delta, r2)
     area2 = math.pi * r2 * r2
     weights = np.outer(wr * r, wt)
     value = float((weights * lens).sum() / (math.pi * r1 * r1) / area2)
@@ -273,23 +246,32 @@ def _disk_disk_pair_prob(
 def _cloud_disk_pair_prob(
     points: np.ndarray, center: complex, radius: float, delta: float
 ) -> float:
-    d = np.abs(points - center)
-    lens = np.array([_lens_area(t, delta, radius) for t in d])
+    lens = _lens_area(np.abs(points - center), delta, radius)
     return float(lens.mean() / (math.pi * radius * radius))
+
+
+def _close_pairs(a: np.ndarray, b: np.ndarray, delta: float) -> int:
+    """Number of ordered pairs (i, j) with |a_i - b_j| < delta.
+
+    The trees count distances <= r, so r is the largest double below delta.
+    They compare squared distances, so only a pair within a few ulps of
+    delta can be decided differently from ``abs(a_i - b_j) < delta``.
+    """
+    tree_a = cKDTree(np.column_stack((a.real, a.imag)))
+    tree_b = tree_a if b is a else cKDTree(np.column_stack((b.real, b.imag)))
+    return int(tree_a.count_neighbors(tree_b, np.nextafter(delta, 0.0)))
 
 
 def _cloud_cloud_pair_prob(
     pts1: np.ndarray, pts2: np.ndarray, delta: float, same_part: bool
 ) -> float:
-    d = np.abs(pts1[:, None] - pts2[None, :])
-    hits = int((d < delta).sum())
+    hits = _close_pairs(pts1, pts2, delta)
     if same_part:
         # The cloud stands in for a diffuse measure: no diagonal product mass.
-        hits -= int((np.abs(pts1 - pts2) < delta).sum())
-        denom = len(pts1) * (len(pts2) - 1)
-        if denom == 0:
+        n = len(pts1)
+        if n < 2:
             return 0.0
-        return hits / denom
+        return (hits - n) / (n * (n - 1))
     return hits / (len(pts1) * len(pts2))
 
 
@@ -343,13 +325,7 @@ def pair_proximity_mass(points, delta: float) -> float:
         raise ValueError("need at least two points")
     if not (delta > 0):
         raise ValueError("delta must be positive")
-    count = 0
-    rows = max(1, (1 << 22) // n)
-    for start in range(0, n, rows):
-        blk = z[start : start + rows]
-        d = np.abs(blk[:, None] - z[None, :])
-        count += int((d < delta).sum()) - blk.size  # remove self pairs
-    return count / (n * n)
+    return (_close_pairs(z, z, delta) - n) / (n * n)
 
 
 # ----------------------------------------------------------------------------

@@ -292,6 +292,31 @@ def test_config_file_supplies_defaults_and_cli_wins(tmp_path):
     assert read_json(out2 / "moments.json")["config"]["k"] == 8
 
 
+def test_config_file_equals_form(tmp_path):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("k=16\n")
+    out = tmp_path / "a"
+    assert run("sample", f"--config={cfg}", "--seed", 1, "--out", out) == 0
+    assert read_json(out / "moments.json")["config"]["k"] == 16
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--k", 0],
+        ["brown", "--eps", -1],
+        ["freeness", "--order", 0],
+        ["eeps", "--gen-k", 8, "--trials", 10],
+        ["selberg", "--n-grid", 0],
+    ],
+    ids=["sample-k", "brown-eps", "freeness-order", "eeps-trials", "selberg-grid"],
+)
+def test_library_precondition_errors_exit_two(tmp_path, capsys, argv):
+    assert run(*argv, "--seed", 1, "--out", tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_bad_measure_spec_exits_two(tmp_path, capsys):
     code = run(
         "sample", "--mu", "blob:1", "--c", 1, "--k", 8, "--seed", 1,

@@ -265,3 +265,13 @@ def test_membership_report_as_dict():
         g, ref, MicrostateParams(m=1, gamma=0.2, k=16)
     ).as_dict()
     assert set(d) == {"passed", "max_deviation", "worst_word", "order", "gamma"}
+
+
+def test_scan_row_over_the_ceiling_is_a_logged_skip(caplog):
+    with caplog.at_level("WARNING", logger="dtlab.dimension"):
+        rows = dimension.dimension_scan(
+            DELTA0, 1.0, 2, 8, [1e-2, 1e-3], chi_offset=1e9
+        )
+    assert rows == []
+    skips = [m for m in caplog.messages if "sanity ceiling" in m]
+    assert len(skips) == 2

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from dtlab import measures
+from dtlab import brown, linalg, measures
 from dtlab.measures import CompactMeasure
 
 
@@ -238,6 +238,138 @@ def test_sampled_proximity_respects_overlap_bound():
     observed = measures.pair_proximity_mass(pts, delta)
     se = math.sqrt(max(bound, 1e-6) / (n * (n - 1)))
     assert observed <= bound + 3 * se + 0.01
+
+
+def blocked_pair_count(z: np.ndarray, delta: float) -> int:
+    """O(n^2) reference: ordered pairs i != j with |z_i - z_j| < delta.
+
+    Distances are taken in row blocks of about 4M entries each.
+    """
+    n = z.size
+    count = 0
+    rows = max(1, (1 << 22) // n)
+    for start in range(0, n, rows):
+        blk = z[start : start + rows]
+        d = np.abs(blk[:, None] - z[None, :])
+        count += int((d < delta).sum()) - blk.size  # remove self pairs
+    return count
+
+
+def tiled_scan_spectrum(big_n: int, k: int, eps: float) -> np.ndarray:
+    """Eigenvalues of a two-atom microstate tiled big_n times, as a scan row."""
+    mu = measures.parse_measure_spec(["atom:0,0,0.5", "atom:1.5,0,0.5"])
+    pair = brown.perturbed_microstate(mu, 1.0 / math.sqrt(big_n), eps, k, 11)
+    return np.tile(linalg.eigenvalues(pair.z), big_n)
+
+
+def lattice(step: float, side: int) -> np.ndarray:
+    g = np.arange(side) * step
+    return (g[:, None] + 1j * g[None, :]).ravel()
+
+
+def duplicated_cloud() -> np.ndarray:
+    return np.repeat(np.random.default_rng(4).standard_normal((400, 2)) @ [1, 1j], 4)
+
+
+@pytest.mark.parametrize(
+    "make_points, delta",
+    [
+        (lambda: tiled_scan_spectrum(8, 128, 1e-3), 1.0 / abs(math.log(1e-3))),
+        (lambda: tiled_scan_spectrum(64, 64, 1e-5), 1.0 / abs(math.log(1e-5))),
+        (duplicated_cloud, 0.05),
+        (lambda: lattice(0.125, 40), 0.125),
+        (lambda: lattice(0.1, 40), 0.1),
+        (lambda: lattice(0.1, 40), math.sqrt(0.02)),
+    ],
+    ids=[
+        "tiled-8x128",
+        "tiled-64x64",
+        "duplicated",
+        "lattice-binary",
+        "lattice-0.1",
+        "lattice-diagonal",
+    ],
+)
+def test_pair_proximity_matches_the_quadratic_count(make_points, delta):
+    points = make_points()
+    n = points.size
+    expected = blocked_pair_count(points, delta) / (n * n)
+    assert measures.pair_proximity_mass(points, delta) == expected
+
+
+def _cloud(seed: int, n: int, scale: float = 1.0, shift: complex = 0j) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return shift + scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+
+def cloud_cloud_reference(
+    p: np.ndarray, q: np.ndarray, delta: float, same: bool
+) -> float:
+    hits = int((np.abs(p[:, None] - q[None, :]) < delta).sum())
+    if same:
+        return (hits - p.size) / (p.size * (p.size - 1))
+    return hits / (p.size * q.size)
+
+
+def cloud_disk_reference(
+    p: np.ndarray, center: complex, radius: float, delta: float
+) -> float:
+    """Equal-area polar midpoint grid on the disk: 600 rings of 600 points."""
+    m = 600
+    r = radius * np.sqrt((np.arange(m) + 0.5) / m)
+    th = 2.0 * math.pi * (np.arange(m) + 0.5) / m
+    grid = (center + r[:, None] * np.exp(1j * th[None, :])).ravel()
+    return float(np.mean([(np.abs(grid - z) < delta).mean() for z in p]))
+
+
+def test_cloud_alone_close_pair_mass_against_brute_force():
+    pts = _cloud(1, 700, 0.3)
+    mu = CompactMeasure(diffuse=(measures.EmpiricalPart(pts, 1.0),))
+    for delta in (0.02, 0.1):
+        assert measures.diffuse_product_mass(mu, delta) == cloud_cloud_reference(
+            pts, pts, delta, True
+        )
+
+
+def test_two_clouds_close_pair_mass_against_brute_force():
+    p = _cloud(2, 500, 0.4)
+    q = _cloud(3, 300, 0.2, 0.3 + 0.1j)
+    mu = CompactMeasure(
+        diffuse=(measures.EmpiricalPart(p, 0.5), measures.EmpiricalPart(q, 0.5))
+    )
+    for delta in (0.03, 0.15):
+        expected = 0.25 * (
+            cloud_cloud_reference(p, p, delta, True)
+            + 2.0 * cloud_cloud_reference(p, q, delta, False)
+            + cloud_cloud_reference(q, q, delta, True)
+        )
+        assert measures.diffuse_product_mass(mu, delta) == pytest.approx(
+            expected, rel=1e-12
+        )
+
+
+def test_cloud_and_disk_close_pair_mass_against_brute_force():
+    pts = _cloud(5, 120, 0.5)
+    center, radius = 0.3 + 0.1j, 0.8
+    mu = CompactMeasure(
+        diffuse=(
+            measures.EmpiricalPart(pts, 0.5),
+            measures.DiskPart(center, radius, 0.5),
+        )
+    )
+    for delta in (0.1, 0.4):
+        # Same-disk term from the unit-disk distance density at delta / radius.
+        disk, err = quad(disk_pair_distance_density, 0.0, delta / radius)
+        assert err < 1e-10
+        expected = 0.25 * (
+            cloud_cloud_reference(pts, pts, delta, True)
+            + 2.0 * cloud_disk_reference(pts, center, radius, delta)
+            + disk
+        )
+        # The grid's cross term is off by about 4e-6 at these sizes.
+        assert measures.diffuse_product_mass(mu, delta) == pytest.approx(
+            expected, abs=2e-5
+        )
 
 
 # ----------------------------------------------------------------------------
