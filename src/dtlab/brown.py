@@ -206,20 +206,25 @@ def _gershgorin_radius(a: np.ndarray) -> float:
     return float((np.abs(np.diag(a)) + off).max())
 
 
-def _logdet_row(a, zs_row, delta_reg, diag):
-    k = a.shape[0]
+def _logdet_row(xs, y, delta_reg, diag, parts):
+    """u on the grid row at height y."""
     if diag is not None:
-        d = diag[None, :] - zs_row[:, None]
+        k = diag.size
+        d = diag[None, :] - (xs + 1j * y)[:, None]
         return 0.5 * np.log(np.abs(d) ** 2 + delta_reg**2).sum(axis=1) / k
-    eye = np.eye(k, dtype=np.complex128)
-    out = np.empty(len(zs_row))
+    g, s, kk = parts
+    k = g.shape[0]
+    # Cell x: (G - y K) - x S + (x^2 + y^2 + delta^2) I.
+    base = g - y * kk
+    shift = xs * xs + (y * y + delta_reg * delta_reg)
+    out = np.empty(len(xs))
     budget = max(1, (64 << 20) // (16 * k * k))
-    for s in range(0, len(zs_row), budget):
-        chunk = zs_row[s : s + budget]
-        b = a[None, :, :] - chunk[:, None, None] * eye[None, :, :]
-        h = np.conj(np.swapaxes(b, -1, -2)) @ b
-        h += (delta_reg * delta_reg) * eye[None, :, :]
-        out[s : s + len(chunk)] = 0.5 * linalg.lu_logabsdet_stack(h) / k
+    for lo in range(0, len(xs), budget):
+        hi = min(lo + budget, len(xs))
+        h = np.multiply(xs[lo:hi, None, None], s[None, :, :])
+        np.subtract(base[None, :, :], h, out=h)
+        h.reshape(hi - lo, k * k)[:, :: k + 1] += shift[lo:hi, None]
+        out[lo:hi] = 0.5 * linalg.lu_logabsdet_stack(h) / k
     return out
 
 
@@ -230,8 +235,10 @@ def brown_logdet_grid(
 
     Evaluates u(z) = log det((a - z)^* (a - z) + delta_reg^2 I) / (2 k) per
     cell through LU factorizations (diagonal input takes a closed-form path),
-    then applies the five-point Laplacian / (2 pi), clipping at zero.  The
-    boundary ring, where the Laplacian is unavailable, is left at zero.
+    with each cell's matrix assembled from a* a, a + a* and i (a* - a), which
+    are formed once per call.  Then applies the five-point Laplacian / (2 pi),
+    clipping at zero.  The boundary ring, where the Laplacian is unavailable,
+    is left at zero.
     """
     a = linalg.as_square_matrix(a, "a")
     if not (delta_reg > 0):
@@ -249,15 +256,20 @@ def brown_logdet_grid(
         )
     d = np.diag(a).copy()
     diag = d if np.count_nonzero(a - np.diag(d)) == 0 else None
-    xs, ys = grid.xs, grid.ys
-    rows = [xs + 1j * yv for yv in ys]
+    parts = None
+    if diag is None:
+        # For w = x + i y, (a - w)* (a - w) = G - x S - y K + |w|^2 I with
+        # G = a* a, S = a + a* and K = i (a* - a).
+        ah = a.conj().T
+        parts = (ah @ a, a + ah, 1j * (ah - a))
+    xs = grid.xs
     if threads > 1 and diag is None:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             urows = list(
-                pool.map(lambda r: _logdet_row(a, r, delta_reg, None), rows)
+                pool.map(lambda y: _logdet_row(xs, y, delta_reg, diag, parts), grid.ys)
             )
     else:
-        urows = [_logdet_row(a, r, delta_reg, diag) for r in rows]
+        urows = [_logdet_row(xs, y, delta_reg, diag, parts) for y in grid.ys]
     u = np.vstack(urows)
     lap = np.zeros_like(u)
     lap[1:-1, 1:-1] = (

@@ -78,11 +78,11 @@ def _write_matrix(path: Path, config: dict, a: np.ndarray) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(_config_line(config))
         fh.write("i,j,re,im\n")
-        k = a.shape[0]
-        for i in range(k):
-            for j in range(k):
-                z = complex(a[i, j])
-                fh.write(f"{i},{j},{z.real!r},{z.imag!r}\n")
+        for i, (re_row, im_row) in enumerate(zip(a.real.tolist(), a.imag.tolist())):
+            fh.write("".join([
+                f"{i},{j},{re!r},{im!r}\n"
+                for j, (re, im) in enumerate(zip(re_row, im_row))
+            ]))
 
 
 # ----------------------------------------------------------------------------
@@ -354,7 +354,9 @@ def _csv_of(kind):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    # No parser accepts abbreviated flags: "--conf FILE" would set
+    # args.config without _inject_config_file expanding the file.
+    common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     common.add_argument("--seed", type=int, required=True, help="RNG seed (required)")
     common.add_argument("--out", default=".", help="output directory")
     common.add_argument("--threads", type=int, default=1, help="worker thread cap")
@@ -372,14 +374,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     parser = argparse.ArgumentParser(
         prog="dtlab",
+        allow_abbrev=False,
         description="Random-matrix experiments: triangular models, spectral "
         "clouds, separation integrals, packing scans.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(
-        "sample", parents=[common], help="sample a model, write matrix/spectrum/moments"
-    )
+    def add(name: str, summary: str) -> argparse.ArgumentParser:
+        return sub.add_parser(
+            name, parents=[common], allow_abbrev=False, help=summary
+        )
+
+    p = add("sample", "sample a model, write matrix/spectrum/moments")
     p.add_argument("--mu", action="append", help=mu_help)
     p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--k", type=int, default=256)
@@ -388,9 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--moment-order", type=int, default=4)
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser(
-        "brown", parents=[common], help="perturbed microstate and its spectral cloud"
-    )
+    p = add("brown", "perturbed microstate and its spectral cloud")
     p.add_argument("--mu", action="append", help=mu_help)
     p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--eps", type=float, default=0.5)
@@ -405,9 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_brown)
 
-    p = sub.add_parser(
-        "eeps", parents=[common], help="separation-integral estimators on a point set"
-    )
+    p = add("eeps", "separation-integral estimators on a point set")
     p.add_argument("--mu", action="append", help=mu_help)
     p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--points", default=None, help="CSV of re,im rows")
@@ -417,18 +419,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=2000)
     p.set_defaults(func=cmd_eeps)
 
-    p = sub.add_parser(
-        "selberg", parents=[common], help="box-integral identity and rate tables"
-    )
+    p = add("selberg", "box-integral identity and rate tables")
     p.add_argument(
         "--n-grid", type=_csv_of(int), default=[2, 4, 8, 16, 32, 64, 128, 256]
     )
     p.add_argument("--eps", type=float, default=1.0)
     p.set_defaults(func=cmd_selberg)
 
-    p = sub.add_parser(
-        "scan", parents=[common], help="dimension lower-bound scan over eps"
-    )
+    p = add("scan", "dimension lower-bound scan over eps")
     p.add_argument("--mu", action="append", help=mu_help)
     p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--bigN", type=int, default=8)
@@ -441,9 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chi-offset", type=float, default=0.0)
     p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser(
-        "freeness", parents=[common], help="alternating-moment freeness report"
-    )
+    p = add("freeness", "alternating-moment freeness report")
     p.add_argument("--mu", action="append", help=mu_help)
     p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--k", type=int, default=512)

@@ -145,6 +145,9 @@ def gamma_product_rate(n: int) -> float:
 
 
 _RESAMPLE_ROUNDS = 100
+#: Pair values per row block of the Monte Carlo arithmetic (about 512 KB of
+#: float64 per temporary), small enough that a block's passes stay in cache.
+_BLOCK_PAIRS = 1 << 16
 
 
 def log_separation_integral_mc(
@@ -183,6 +186,7 @@ def log_separation_integral_mc(
     attempts = 0
     attempt_cap = _RESAMPLE_ROUNDS * trials
     chunk_cap = max(1, (1 << 22) // iu.size) if iu.size else trials
+    block_rows = max(1, _BLOCK_PAIRS // iu.size)
     while filled < trials:
         if attempts >= attempt_cap:
             raise RuntimeError(
@@ -193,14 +197,28 @@ def log_separation_integral_mc(
         attempts += draw
         us = rng.uniform(-eps, eps, size=(draw, n))
         ut = rng.uniform(-eps, eps, size=(draw, n))
-        ds = base_s[None, :] + us[:, iu] - us[:, ju]
-        dt = base_t[None, :] + ut[:, iu] - ut[:, ju]
-        sq = ds * ds + dt * dt
-        good = (sq > 0.0).all(axis=1)
-        vals = np.log(sq[good]).sum(axis=1)
-        logg[filled : filled + vals.size] = vals
-        filled += vals.size
-        resampled += draw - int(good.sum())
+        # The pair arithmetic runs in place over row blocks that stay in
+        # cache.  Each value is rounded as in (base + u_i - u_j)^2 + (...)^2,
+        # and take() keeps the blocks C-contiguous, so every row sums its logs
+        # in one order whatever the block size.
+        for r in range(0, draw, block_rows):
+            ub, vb = us[r : r + block_rows], ut[r : r + block_rows]
+            sq = ub.take(iu, axis=1)
+            sq += base_s
+            sq -= ub.take(ju, axis=1)
+            sq *= sq
+            dt = vb.take(iu, axis=1)
+            dt += base_t
+            dt -= vb.take(ju, axis=1)
+            dt *= dt
+            sq += dt
+            good = (sq > 0.0).all(axis=1)
+            if not good.all():
+                sq = sq[good]
+            vals = np.log(sq, out=sq).sum(axis=1)
+            logg[filled : filled + vals.size] = vals
+            filled += vals.size
+            resampled += ub.shape[0] - vals.size
     # Log-mean-exp with delete-one jackknife on the log scale.
     lse_all = float(logsumexp(logg))
     full = lse_all - math.log(trials)

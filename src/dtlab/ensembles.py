@@ -236,6 +236,22 @@ def star_moment(family, word: StarWord) -> complex:
     return complex(np.trace(prod) / k)
 
 
+def _prefix_traces(letters: dict, prefix: tuple, mat, max_len: int):
+    """Yield (word, trace) for every word that extends ``prefix`` by up to
+    ``max_len - len(prefix)`` letters, depth first; ``mat`` is the prefix's
+    product (None for the empty prefix) and is shared by its extensions."""
+    for adj in (False, True):
+        word = prefix + ((0, adj),)
+        if mat is None:
+            yield word, np.trace(letters[adj])
+        else:
+            # tr(P L) = vdot(L*, P): both operands C-contiguous, one pass.
+            yield word, np.vdot(letters[not adj], mat)
+        if len(word) < max_len:
+            nxt = letters[adj] if mat is None else mat @ letters[adj]
+            yield from _prefix_traces(letters, word, nxt, max_len)
+
+
 def star_moment_table(a, max_len: int) -> dict[StarWord, complex]:
     """All *-moments of a single matrix up to the given word length.
 
@@ -246,23 +262,11 @@ def star_moment_table(a, max_len: int) -> dict[StarWord, complex]:
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     k = m.shape[0]
-    letters = {False: m, True: m.conj().T}
-    table: dict[StarWord, complex] = {}
-
-    def visit(prefix: tuple, mat: np.ndarray | None, depth: int) -> None:
-        for adj in (False, True):
-            word = prefix + ((0, adj),)
-            if mat is None:
-                tr = np.trace(letters[adj])
-            else:
-                tr = np.einsum("ij,ji->", mat, letters[adj])
-            table[StarWord(word)] = complex(tr / k)
-            if depth + 1 < max_len:
-                nxt = letters[adj] if mat is None else mat @ letters[adj]
-                visit(word, nxt, depth + 1)
-
-    visit((), None, 0)
-    return table
+    letters = {False: m, True: np.ascontiguousarray(m.conj().T)}
+    return {
+        StarWord(word): complex(tr / k)
+        for word, tr in _prefix_traces(letters, (), None, max_len)
+    }
 
 
 @dataclass(frozen=True)
@@ -291,6 +295,34 @@ def _factor_label(idx: int, bits: tuple[bool, ...]) -> str:
     return "".join(chr(ord("a") + idx) + ("*" if adj else "") for adj in bits)
 
 
+def _alternating_traces(centered, members, order, path, prod, last, used, label):
+    """Depth-first walk over the alternating products that extend ``prod``.
+
+    ``prod`` has ``label.count("|") + 1`` factors and ``used`` letters, and
+    its last factor is a word in member ``last``.  Yields (|tr_k(prod c)|,
+    label) for every centered word c that may follow it; while letters
+    remain, prod c is written into ``path`` at its depth and extended in turn.
+    """
+    k = prod.shape[0]
+    depth = label.count("|")
+    for idx in range(members):
+        if idx == last:
+            continue
+        for length in range(1, order - used + 1):
+            for bits in itertools.product((False, True), repeat=length):
+                c = centered[(idx, bits)]
+                # tr(prod c) = vdot(c*, prod), and c* is the stored centered
+                # word of the reversed, flipped letters.
+                c_adj = centered[(idx, tuple(not b for b in reversed(bits)))]
+                here = label + "|" + _factor_label(idx, bits)
+                yield abs(np.vdot(c_adj, prod)) / k, here
+                if used + length <= order - 1:
+                    yield from _alternating_traces(
+                        centered, members, order, path,
+                        np.matmul(prod, c, out=path[depth]), idx, used + length, here,
+                    )
+
+
 def freeness_check(family, order: int, gamma: float) -> FreenessReport:
     """Probe approximate *-freeness of a matrix family.
 
@@ -313,50 +345,36 @@ def freeness_check(family, order: int, gamma: float) -> FreenessReport:
     if len(mats) < 2 or order < 2:
         return FreenessReport(0.0, "", True, gamma, order, 0)
 
-    eye = np.eye(k, dtype=np.complex128)
+    # Every word of length < order in each member, C-contiguous, in walk
+    # order: member by member, shortest first.
     centered: dict[tuple[int, tuple[bool, ...]], np.ndarray] = {}
     for idx, a in enumerate(mats):
-        letters = {False: a, True: a.conj().T}
-        raw: dict[tuple[bool, ...], np.ndarray] = {}
+        letters = {False: a.copy(), True: np.ascontiguousarray(a.conj().T)}
         for length in range(1, order):
             for bits in itertools.product((False, True), repeat=length):
-                if length == 1:
-                    w = letters[bits[0]]
-                else:
-                    w = raw[bits[:-1]] @ letters[bits[-1]]
-                raw[bits] = w
-                centered[(idx, bits)] = w - (np.trace(w) / k) * eye
+                centered[idx, bits] = (
+                    letters[bits[0]] if length == 1
+                    else centered[idx, bits[:-1]] @ letters[bits[-1]]
+                )
+    # Centered in place once every longer word is built from the raw ones.
+    for w in centered.values():
+        w.flat[:: k + 1] -= np.trace(w) / k
 
     best = 0.0
     worst = ""
     checked = 0
-
-    def extend(prod: np.ndarray, last: int, used: int, label: str) -> None:
-        nonlocal best, worst, checked
-        for idx in range(len(mats)):
-            if idx == last:
-                continue
-            for length in range(1, order - used + 1):
-                for bits in itertools.product((False, True), repeat=length):
-                    c = centered[(idx, bits)]
-                    value = abs(np.einsum("ij,ji->", prod, c)) / k
-                    checked += 1
-                    if value > best:
-                        best = float(value)
-                        worst = label + "|" + _factor_label(idx, bits)
-                    if used + length <= order - 1:
-                        extend(
-                            prod @ c,
-                            idx,
-                            used + length,
-                            label + "|" + _factor_label(idx, bits),
-                        )
-
-    for idx in range(len(mats)):
-        for length in range(1, order):
-            for bits in itertools.product((False, True), repeat=length):
-                extend(
-                    centered[(idx, bits)], idx, length, _factor_label(idx, bits)
-                )
+    # One product buffer per depth, for products of 2 .. order - 1 factors.
+    # The walk is a module-level generator: a recursive closure would be a
+    # reference cycle that keeps every word alive until garbage collection.
+    path = np.empty((order - 2, k, k), dtype=np.complex128)
+    for (idx, bits), first in centered.items():
+        for value, label in _alternating_traces(
+            centered, len(mats), order, path,
+            first, idx, len(bits), _factor_label(idx, bits),
+        ):
+            checked += 1
+            if value > best:
+                best = float(value)
+                worst = label
 
     return FreenessReport(best, worst, best <= gamma, gamma, order, checked)

@@ -5,6 +5,8 @@ against plain eigenvalue counting on normal matrices, where both answers are
 known in closed form.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,31 @@ def test_grid_threads_do_not_change_the_field():
         a, GridSpec.square(1.5, 32), delta_reg=0.1, threads=2
     )
     assert np.array_equal(one.values, two.values)
+
+
+def svd_log_potential(a: np.ndarray, w: complex, delta: float) -> float:
+    """sum_i log(sigma_i(a - w)^2 + delta^2) / (2 k), from singular values."""
+    k = a.shape[0]
+    sigma = np.linalg.svd(a - w * np.eye(k), compute_uv=False)
+    return float(np.log(sigma**2 + delta**2).sum() / (2 * k))
+
+
+def test_density_of_nonnormal_matrix_matches_svd_stencil():
+    k, delta = 64, 0.2
+    rng = np.random.default_rng(8)
+    g = rng.standard_normal((2, k, k)) + 1j * rng.standard_normal((2, k, k))
+    a = (np.triu(g[0], 1) + 0.5 * g[1]) / math.sqrt(2 * k)
+    grid = GridSpec.square(1.8, 19)
+    field = brown.brown_logdet_grid(a, grid, delta)
+    xs, ys, h = grid.xs, grid.ys, grid.dx
+    for j, i in ((9, 9), (7, 10), (11, 6)):
+        u = {
+            (dj, di): svd_log_potential(a, complex(xs[i + di], ys[j + dj]), delta)
+            for dj, di in ((0, 0), (0, 1), (0, -1), (1, 0), (-1, 0))
+        }
+        lap = (u[0, 1] + u[0, -1] + u[1, 0] + u[-1, 0] - 4.0 * u[0, 0]) / h**2
+        assert lap > 0.0
+        assert field.values[j, i] == pytest.approx(lap / (2 * math.pi), abs=1e-9)
 
 
 # ----------------------------------------------------------------------------

@@ -93,6 +93,28 @@ def test_sample_reruns_byte_identical(tmp_path):
     assert first == second
 
 
+def per_entry_matrix_csv(config: dict, a: np.ndarray) -> str:
+    """Reference writer: one formatted line per entry, read back as complex."""
+    lines = ["# " + json.dumps(config, sort_keys=True) + "\n", "i,j,re,im\n"]
+    for i in range(a.shape[0]):
+        for j in range(a.shape[1]):
+            z = complex(a[i, j])
+            lines.append(f"{i},{j},{z.real!r},{z.imag!r}\n")
+    return "".join(lines)
+
+
+def test_matrix_writer_matches_the_per_entry_writer(tmp_path):
+    rng = np.random.default_rng(2)
+    a = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    a[0, 0] = complex(-0.0, -0.0)
+    a[1, 2] = complex(1e-5, -0.0)
+    a[3, 4] = complex(1e16, 1e-5)
+    a[8, 8] = complex(-1e16, 0.0)
+    config = {"k": 9, "seed": 2}
+    cli._write_matrix(tmp_path / "m.csv", config, a)
+    assert (tmp_path / "m.csv").read_text() == per_entry_matrix_csv(config, a)
+
+
 def test_sample_block_model_size(tmp_path):
     out = tmp_path / "s"
     assert run(
@@ -298,6 +320,18 @@ def test_config_file_equals_form(tmp_path):
     out = tmp_path / "a"
     assert run("sample", f"--config={cfg}", "--seed", 1, "--out", out) == 0
     assert read_json(out / "moments.json")["config"]["k"] == 16
+
+
+def test_abbreviated_config_flag_is_refused(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("k=16\n")
+    out = tmp_path / "a"
+    with pytest.raises(SystemExit) as exc:
+        run("sample", "--conf", cfg, "--seed", 1, "--out", out)
+    assert exc.value.code == 2
+    errors = [ln for ln in capsys.readouterr().err.splitlines() if "error:" in ln]
+    assert len(errors) == 1 and "--conf" in errors[0]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -11,10 +11,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import roots_legendre
+from scipy.special import logsumexp, roots_legendre
 
 from dtlab import dyson
 from dtlab.errors import ConfigError
+from dtlab.rng import substream
 
 
 def mp_gamma_sum_rate(n: int) -> float:
@@ -224,6 +225,82 @@ def test_mc_translation_equivariance():
     b = dyson.log_separation_integral_mc(pts + (5 - 2j), 0.4, trials=2000, seed=3)
     assert a.unbiased.log_value == pytest.approx(b.unbiased.log_value, abs=1e-9)
     assert a.jensen.log_value == pytest.approx(b.jensen.log_value, abs=1e-9)
+
+
+def gather_separation_mc(points, eps, trials, seed):
+    """Reference Monte Carlo estimator: each chunk's pair values in one gather.
+
+    Draws the same random stream as the library, evaluates every pair of a
+    whole chunk at once, and applies the same log-mean-exp, jackknife and
+    Jensen formulas.
+    """
+    z = np.asarray(points, dtype=np.complex128).ravel()
+    n = z.size
+    log_volume = 2.0 * n * math.log(2.0 * eps)
+    rng = substream(seed, 7)
+    iu, ju = np.triu_indices(n, 1)
+    base_s = z.real[iu] - z.real[ju]
+    base_t = z.imag[iu] - z.imag[ju]
+    logg = np.empty(trials)
+    resampled = filled = 0
+    chunk_cap = max(1, (1 << 22) // iu.size)
+    while filled < trials:
+        draw = min(trials - filled, chunk_cap)
+        us = rng.uniform(-eps, eps, size=(draw, n))
+        ut = rng.uniform(-eps, eps, size=(draw, n))
+        ds = base_s[None, :] + us[:, iu] - us[:, ju]
+        dt = base_t[None, :] + ut[:, iu] - ut[:, ju]
+        sq = ds * ds + dt * dt
+        good = (sq > 0.0).all(axis=1)
+        vals = np.log(sq[good]).sum(axis=1)
+        logg[filled : filled + vals.size] = vals
+        filled += vals.size
+        resampled += draw - int(good.sum())
+    full = float(logsumexp(logg)) - math.log(trials)
+    m = logg.max()
+    w = np.exp(logg - m)
+    leave_one = m + np.log(w.sum() - w) - math.log(trials - 1)
+    jackknife_se = math.sqrt(
+        (trials - 1) / trials * ((leave_one - leave_one.mean()) ** 2).sum()
+    )
+    return dyson.SeparationEstimate(
+        dyson.LogEstimate(log_volume + full, jackknife_se, "unbiased"),
+        dyson.LogEstimate(
+            log_volume + float(logg.mean()),
+            float(logg.std(ddof=1) / math.sqrt(trials)),
+            "lower-bound",
+        ),
+        trials,
+        resampled,
+    )
+
+
+def _scattered(n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return 0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+
+@pytest.mark.parametrize(
+    "points, eps, trials",
+    [
+        # One pair: 65536-row blocks, trials cross a block boundary.
+        (_scattered(2, 1), 0.05, 70001),
+        # 21 pairs: 3120-row blocks.
+        (_scattered(7, 2), 0.01, 10007),
+        # 1128 pairs: 3718-row chunks of 58-row blocks, two chunk boundaries.
+        (_scattered(48, 3), 0.01, 7777),
+        # Coincident points at eps = 1e-161: a squared separation underflows
+        # to zero in about 1% of pairs, which forces redraws.
+        (np.full(3, 0.25 - 0.5j), 1e-161, 5003),
+    ],
+    ids=["n2", "n7", "n48", "coincident-redraws"],
+)
+def test_mc_matches_the_gather_kernel_bit_for_bit(points, eps, trials):
+    got = dyson.log_separation_integral_mc(points, eps, trials, seed=11)
+    want = gather_separation_mc(points, eps, trials, seed=11)
+    assert got == want
+    if eps == 1e-161:
+        assert got.resampled > 0
 
 
 # ----------------------------------------------------------------------------

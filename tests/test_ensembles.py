@@ -6,6 +6,9 @@ compared against the direct sampler at the same total size, two routes that
 share no construction code.
 """
 
+import itertools
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -221,3 +224,95 @@ def test_freeness_deviation_shrinks_with_size():
         ]
         reports[k] = ensembles.freeness_check(fam, order=3, gamma=0.5)
     assert reports[512].max_abs_trace < reports[64].max_abs_trace / 2.0
+
+
+def brute_force_freeness(family, order):
+    """Every alternating product of centered words, multiplied out in full.
+
+    Returns {label: |tr_k(product)|} with labels in the report's
+    "aa*|b" notation.
+    """
+    k = family[0].shape[0]
+    eye = np.eye(k)
+    words = {}
+    for idx, m in enumerate(family):
+        for length in range(1, order):
+            for bits in itertools.product((False, True), repeat=length):
+                w = reduce(np.matmul, [m.conj().T if adj else m for adj in bits])
+                words[idx, bits] = w - np.trace(w) / k * eye
+
+    def label(idx, bits):
+        return "".join(chr(ord("a") + idx) + ("*" if adj else "") for adj in bits)
+
+    values = {}
+
+    def grow(seq, used):
+        if len(seq) >= 2:
+            prod = reduce(np.matmul, [words[f] for f in seq])
+            values["|".join(label(*f) for f in seq)] = abs(np.trace(prod)) / k
+        for f in words:
+            if (not seq or f[0] != seq[-1][0]) and used + len(f[1]) <= order:
+                grow(seq + [f], used + len(f[1]))
+
+    grow([], 0)
+    return values
+
+
+def _ginibre_family(k, members, seed):
+    return [
+        ensembles.sample_ginibre(k, 1.0 / k, seed=seed + i) for i in range(members)
+    ]
+
+
+@pytest.mark.parametrize(
+    "order, members, k",
+    [(2, 2, 12), (3, 3, 16), (4, 2, 20), (5, 2, 24), (4, 3, 24), (5, 3, 18)],
+)
+def test_freeness_check_matches_brute_force(order, members, k):
+    fam = _ginibre_family(k, members, seed=order)
+    _check_against_brute_force(fam, order)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+def test_freeness_check_of_matrix_and_adjoint_matches_brute_force(order):
+    g = ensembles.sample_ginibre(16, 1.0 / 16, seed=7)
+    _check_against_brute_force([g, g.conj().T], order)
+
+
+@pytest.mark.parametrize("k, seed, order", [(12, 2, 4), (24, 5, 3), (24, 2, 5)])
+def test_freeness_check_of_strict_upper_pair_matches_brute_force(k, seed, order):
+    # Independent nilpotent parts: here the worst product ends in a word such
+    # as bb* that is not its own reversal, so a trace taken against the wrong
+    # adjoint word reports a label whose true value is below the maximum.
+    fam = [
+        ensembles.sample_strict_upper(k, 1.0, seed=seed),
+        ensembles.sample_strict_upper(k, 1.0, seed=seed + 100),
+    ]
+    _check_against_brute_force(fam, order)
+
+
+def test_star_moment_table_matches_full_products():
+    rng = np.random.default_rng(4)
+    m = np.triu(rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10)))
+    table = ensembles.star_moment_table(m, 5)
+    assert len(table) == 2 + 4 + 8 + 16 + 32
+    for word, value in table.items():
+        prod = reduce(np.matmul, [m.conj().T if adj else m for _, adj in word.letters])
+        assert value == pytest.approx(np.trace(prod) / 10, rel=1e-12, abs=1e-12)
+
+
+def test_freeness_check_leaves_a_repeated_member_unchanged():
+    g = ensembles.sample_ginibre(12, 1.0 / 12, seed=3)
+    before = g.copy()
+    _check_against_brute_force([g, g], 4)
+    assert np.array_equal(g, before)
+
+
+def _check_against_brute_force(family, order):
+    report = ensembles.freeness_check(family, order=order, gamma=1.0)
+    values = brute_force_freeness(family, order)
+    best = max(values.values())
+    assert report.products_checked == len(values)
+    assert report.max_abs_trace == pytest.approx(best, rel=0, abs=1e-12)
+    # Products tied with the maximum up to rounding may be reported instead.
+    assert values[report.worst_product] >= best - 1e-12
