@@ -10,7 +10,6 @@ from .brown import (
     DensityField,
     GridSpec,
     MicrostatePair,
-    brown_from_eigenvalues,
     brown_logdet_grid,
     perturbed_microstate,
     radial_cdf_distance,
@@ -112,7 +111,6 @@ __all__ = [
     "DensityField",
     "GridSpec",
     "MicrostatePair",
-    "brown_from_eigenvalues",
     "brown_logdet_grid",
     "perturbed_microstate",
     "radial_cdf_distance",

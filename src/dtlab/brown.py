@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +29,6 @@ from .rng import substream
 __all__ = [
     "MicrostatePair",
     "perturbed_microstate",
-    "brown_from_eigenvalues",
     "GridSpec",
     "DensityField",
     "brown_logdet_grid",
@@ -108,13 +106,16 @@ def perturbed_microstate(
     )
 
 
-def brown_from_eigenvalues(a: np.ndarray) -> np.ndarray:
-    """Eigenvalue multiset of a, the empirical carrier of its spectral law."""
-    return linalg.eigenvalues(a)
-
-
 # ----------------------------------------------------------------------------
 # Log-determinant density route
+
+
+def _covering_radius(a: np.ndarray) -> float:
+    """1.1 times the smaller of two spectral radius bounds of a: the power
+    bound and the largest absolute row sum."""
+    return 1.1 * min(
+        linalg.spectral_radius_bound(a), float(np.abs(a).sum(axis=1).max())
+    )
 
 
 @dataclass(frozen=True)
@@ -137,6 +138,16 @@ class GridSpec:
     @classmethod
     def square(cls, half_width: float, n: int) -> "GridSpec":
         return cls(-half_width, half_width, -half_width, half_width, n, n)
+
+    @classmethod
+    def covering(cls, a, delta_reg: float) -> "GridSpec":
+        """Square grid of spacing delta_reg around the origin that covers
+        the spectrum of a, as :func:`brown_logdet_grid` requires, with two
+        spare cells beyond it on every side."""
+        if not (delta_reg > 0):
+            raise ConfigError(f"delta_reg must be positive, got {delta_reg}")
+        half = _covering_radius(a) + 2.0 * delta_reg
+        return cls.square(half, int(math.ceil(2.0 * half / delta_reg)) + 1)
 
     @property
     def dx(self) -> float:
@@ -201,11 +212,6 @@ class DensityField:
                     fh.write(f"{xv:.10g},{yv:.10g},{self.values[j, i]:.10g}\n")
 
 
-def _gershgorin_radius(a: np.ndarray) -> float:
-    off = np.abs(a).sum(axis=1) - np.abs(np.diag(a))
-    return float((np.abs(np.diag(a)) + off).max())
-
-
 def _logdet_row(xs, y, delta_reg, diag, parts):
     """u on the grid row at height y."""
     if diag is not None:
@@ -228,9 +234,7 @@ def _logdet_row(xs, y, delta_reg, diag, parts):
     return out
 
 
-def brown_logdet_grid(
-    a: np.ndarray, grid: GridSpec, delta_reg: float, threads: int = 1
-) -> DensityField:
+def brown_logdet_grid(a: np.ndarray, grid: GridSpec, delta_reg: float) -> DensityField:
     """Density field from the regularized log-determinant potential.
 
     Evaluates u(z) = log det((a - z)^* (a - z) + delta_reg^2 I) / (2 k) per
@@ -238,7 +242,9 @@ def brown_logdet_grid(
     with each cell's matrix assembled from a* a, a + a* and i (a* - a), which
     are formed once per call.  Then applies the five-point Laplacian / (2 pi),
     clipping at zero.  The boundary ring, where the Laplacian is unavailable,
-    is left at zero.
+    is left at zero.  The grid must cover the disk that
+    :meth:`GridSpec.covering` covers, and its spacing may not exceed
+    delta_reg.
     """
     a = linalg.as_square_matrix(a, "a")
     if not (delta_reg > 0):
@@ -249,7 +255,7 @@ def brown_logdet_grid(
             f"grid spacing {spacing:.4g} exceeds delta_reg {delta_reg:.4g}; "
             "refine the grid or increase the regularization"
         )
-    bound = 1.1 * min(linalg.spectral_radius_bound(a), _gershgorin_radius(a))
+    bound = _covering_radius(a)
     if grid.xmin > -bound or grid.xmax < bound or grid.ymin > -bound or grid.ymax < bound:
         raise ConfigError(
             f"grid must cover the disk of radius {bound:.4g} around the origin"
@@ -263,14 +269,7 @@ def brown_logdet_grid(
         ah = a.conj().T
         parts = (ah @ a, a + ah, 1j * (ah - a))
     xs = grid.xs
-    if threads > 1 and diag is None:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            urows = list(
-                pool.map(lambda y: _logdet_row(xs, y, delta_reg, diag, parts), grid.ys)
-            )
-    else:
-        urows = [_logdet_row(xs, y, delta_reg, diag, parts) for y in grid.ys]
-    u = np.vstack(urows)
+    u = np.vstack([_logdet_row(xs, y, delta_reg, diag, parts) for y in grid.ys])
     lap = np.zeros_like(u)
     lap[1:-1, 1:-1] = (
         (u[1:-1, 2:] + u[1:-1, :-2] - 2.0 * u[1:-1, 1:-1]) / grid.dx**2

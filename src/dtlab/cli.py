@@ -119,7 +119,8 @@ def cmd_brown(args: argparse.Namespace) -> int:
     out = _outdir(args)
     config = _resolved_config(args)
     pair = brown.perturbed_microstate(mu, args.c, args.eps, args.k, args.seed)
-    lam = brown.brown_from_eigenvalues(pair.z)
+    grid = brown.GridSpec.covering(pair.z, args.delta_reg) if args.density else None
+    lam = linalg.eigenvalues(pair.z)
     _write_eigenvalues(out / "eigenvalues.csv", config, lam)
 
     centers = np.array([z for z, _ in mu.atoms])
@@ -156,20 +157,8 @@ def cmd_brown(args: argparse.Namespace) -> int:
             fh.write(f"{i},{float(t)!r},{float(f)!r}\n")
 
     density_mass = None
-    if args.density:
-        bound = 1.1 * min(
-            linalg.spectral_radius_bound(pair.z),
-            float(np.abs(pair.z).sum(axis=1).max()),
-        )
-        spacing = args.delta_reg
-        half = bound + 2.0 * spacing
-        n = int(math.ceil(2.0 * half / spacing)) + 1
-        field = brown.brown_logdet_grid(
-            pair.z,
-            brown.GridSpec.square(half, n),
-            args.delta_reg,
-            threads=args.threads,
-        )
+    if grid is not None:
+        field = brown.brown_logdet_grid(pair.z, grid, args.delta_reg)
         field.to_csv(out / "density.csv", extra_header={"config": config})
         density_mass = field.mass
 
@@ -195,7 +184,7 @@ def cmd_eeps(args: argparse.Namespace) -> int:
     elif args.gen_k:
         mu = _parse_mu(args)
         pair = brown.perturbed_microstate(mu, args.c, args.eps, args.gen_k, args.seed)
-        pts = brown.brown_from_eigenvalues(pair.z)
+        pts = linalg.eigenvalues(pair.z)
     else:
         raise ConfigError("one of --points or --gen-k is required")
     n = pts.size
@@ -242,9 +231,11 @@ def cmd_eeps(args: argparse.Namespace) -> int:
 
 
 def cmd_selberg(args: argparse.Namespace) -> int:
+    grid = sorted(args.n_grid)
+    if not grid:
+        raise ConfigError("--n-grid is empty")
     out = _outdir(args)
     config = _resolved_config(args)
-    grid = sorted(args.n_grid)
     with open(out / "selberg.csv", "w", newline="") as fh:
         fh.write(_config_line(config))
         fh.write("n,log_box_integral,rate,rate_minus_limit\n")
@@ -359,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     common.add_argument("--seed", type=int, required=True, help="RNG seed (required)")
     common.add_argument("--out", default=".", help="output directory")
-    common.add_argument("--threads", type=int, default=1, help="worker thread cap")
     common.add_argument(
         "--config",
         default=None,

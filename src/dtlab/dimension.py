@@ -129,21 +129,15 @@ def _log_ball_volume_or_zero(dim: int, radius: float) -> float:
     return 0.0 if dim == 0 else log_ball_volume(dim, radius)
 
 
-def packing_lower_bound_log(
-    eps: float,
-    bigN: int,
-    k: int,
-    f_lb_total: float,
-    log_vol_omega_per_dim: float = 0.0,
-) -> float:
+def packing_lower_bound_log(eps: float, bigN: int, k: int, f_lb_total: float) -> float:
     """Assembled log packing lower bound at total size n = bigN * k.
 
     Sums, in log domain: the triangular-density normalization at size n,
     the separation-integral lower bound ``f_lb_total`` (un-normalized), the
     volume of the strictly-upper perturbation ball of radius sqrt(n) * eps
-    in bigN * k * (k-1) real dimensions, the block-scaling and per-dimension
-    off-diagonal volume terms, the Stirling factor log G(n^2 + 1), and the
-    covering-cell term -n^2 log(pi (6 sqrt(n) eps)^2).
+    in bigN * k * (k-1) real dimensions, the block-scaling term, the
+    Stirling factor log G(n^2 + 1), and the covering-cell term
+    -n^2 log(pi (6 sqrt(n) eps)^2).
     """
     if not (eps > 0):
         raise ValueError(f"eps must be positive, got {eps}")
@@ -157,7 +151,6 @@ def packing_lower_bound_log(
         + f_lb_total
         + _log_ball_volume_or_zero(ball_dim, math.sqrt(n) * eps)
         + (pairs_dim / 2.0) * math.log(bigN)
-        + pairs_dim * log_vol_omega_per_dim
         + float(gammaln(n * n + 1))
         - (n * n) * math.log(math.pi * (6.0 * math.sqrt(n) * eps) ** 2)
     )
@@ -227,7 +220,6 @@ def dimension_scan(
     eps_grid,
     chi_offset: float = 0.0,
     seed: int = 0,
-    log_vol_omega_per_dim: float = 0.0,
 ) -> list[ScanRow]:
     """One ScanRow per admissible eps; inadmissible entries are skipped.
 
@@ -250,13 +242,9 @@ def dimension_scan(
                 mu, c / math.sqrt(bigN), eps, k, derive_seed(seed, 5, i)
             )
             lam = np.tile(linalg.eigenvalues(pair.z), bigN)
-            f_lb_total = dyson.separation_integral_lower_bound(
-                lam, eps, delta, normalized=False
-            ).log_value
-            total = (
-                packing_lower_bound_log(eps, bigN, k, f_lb_total, log_vol_omega_per_dim)
-                + chi_offset
-            )
+            lower = dyson.separation_integral_lower_bound(lam, eps, delta)
+            f_lb_total = lower.log_value
+            total = packing_lower_bound_log(eps, bigN, k, f_lb_total) + chi_offset
             log_eps = abs(math.log(eps))
             f_lb_norm = f_lb_total / (n * n)
             const_term = total / (n * n) - (2.0 - 1.0 / bigN) * log_eps - f_lb_norm

@@ -246,9 +246,7 @@ def log_separation_integral_mc(
     return SeparationEstimate(unbiased, jensen, trials, resampled)
 
 
-def separation_integral_lower_bound(
-    points, eps: float, delta: float, normalized: bool = False
-) -> LogEstimate:
+def separation_integral_lower_bound(points, eps: float, delta: float) -> LogEstimate:
     """Counted-close-pairs lower bound for the log separation integral.
 
     With w = n^2 * pair_proximity_mass(points, delta) close ordered pairs,
@@ -257,7 +255,7 @@ def separation_integral_lower_bound(
         (n^2 - w) log(delta - 3 eps)
         + 2 [ (n + w) log(2 eps) - log G(n+1) + gamma-product sum ]
 
-    valid whenever 1 >= delta > 3 eps.  ``normalized`` divides by n^2.
+    valid whenever 1 >= delta > 3 eps.
     """
     z = np.asarray(points, dtype=np.complex128).ravel()
     n = z.size
@@ -271,8 +269,6 @@ def separation_integral_lower_bound(
     bound = (n * n - w) * math.log(delta - 3.0 * eps) + 2.0 * (
         (n + w) * math.log(2.0 * eps) - float(gammaln(n + 1)) + _gamma_sum(n)
     )
-    if normalized:
-        bound /= n * n
     return LogEstimate(log_value=bound, std_error=0.0, kind="lower-bound")
 
 

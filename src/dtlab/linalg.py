@@ -49,6 +49,8 @@ _CHAIN = 32
 _WINDOW_STEPS = 16
 #: Multishift iterations without an AED deflation before exceptional shifts.
 _AED_STALL_PERIOD = 6
+#: Highest power m whose ||a^m||_F^(1/m) bounds the spectral radius.
+_RADIUS_MAX_POWER = 16
 
 
 class ConvergenceError(RuntimeError):
@@ -108,10 +110,10 @@ def lu_logabsdet_stack(stack: np.ndarray) -> np.ndarray:
     return out
 
 
-def spectral_radius_bound(a, max_power: int = 16) -> float:
+def spectral_radius_bound(a) -> float:
     """Cheap upper bound on the spectral radius via ||a^m||_F^(1/m).
 
-    Repeated squaring up to ``max_power``; every ||a^m||^(1/m) dominates the
+    Repeated squaring up to m = 16; every ||a^m||^(1/m) dominates the
     spectral radius, and higher powers tighten the bound for heavily
     non-normal matrices.  Used to validate that density grids cover the
     spectrum.
@@ -120,7 +122,7 @@ def spectral_radius_bound(a, max_power: int = 16) -> float:
     best = float(np.linalg.norm(m))  # Frobenius dominates rho
     power = m
     exponent = 1
-    while exponent < max_power:
+    while exponent < _RADIUS_MAX_POWER:
         power = power @ power
         exponent *= 2
         nrm = float(np.linalg.norm(power))
@@ -255,13 +257,15 @@ def _givens(f: complex, g: complex) -> tuple[float, complex]:
     return af / r, (f / af) * (g.conjugate() / r)
 
 
+def _span(h: np.ndarray, q: np.ndarray | None, lo: int, hi: int) -> tuple[int, int]:
+    """First row and end column of h that a similarity on the active block
+    [lo, hi) must reach: all of h when q is kept, so that a = q h q* holds
+    throughout, else only the block, which holds every eigenvalue left."""
+    return (lo, hi) if q is None else (0, h.shape[0])
+
+
 def _qr_sweep(
-    h: np.ndarray,
-    q: np.ndarray | None,
-    lo: int,
-    hi: int,
-    shift: complex,
-    eig_only: bool,
+    h: np.ndarray, q: np.ndarray | None, lo: int, hi: int, shift: complex
 ) -> None:
     """One explicit shifted QR similarity step on the active block [lo, hi).
 
@@ -270,8 +274,7 @@ def _qr_sweep(
     i + 1, the last row it reaches.
     """
     n = h.shape[0]
-    col_end = hi if eig_only else n
-    row_start = lo if eig_only else 0
+    row_start, col_end = _span(h, q, lo, hi)
     diag = h.reshape(-1)[lo * (n + 1) : (hi - 1) * (n + 1) + 1 : n + 1]
     diag -= shift
     item = h.item
@@ -338,7 +341,7 @@ def _check_budget(spent: int, h: np.ndarray) -> None:
         )
 
 
-def _single_shift(h: np.ndarray, q: np.ndarray | None, eig_only: bool) -> None:
+def _single_shift(h: np.ndarray, q: np.ndarray | None) -> None:
     """Single-shift QR with Wilkinson shifts: the small-matrix base case."""
     anorm = float(np.linalg.norm(h))
     spent = 0
@@ -357,12 +360,14 @@ def _single_shift(h: np.ndarray, q: np.ndarray | None, eig_only: bool) -> None:
             shift = complex(h[hi - 1, hi - 1] + 0.75 * abs(h[hi - 1, hi - 2]))
         else:
             shift = _wilkinson_shift(h, hi)
-        _qr_sweep(h, q, lo, hi, shift, eig_only)
+        _qr_sweep(h, q, lo, hi, shift)
 
 
-def _apply_window(h, q, w0, w1, u, row_start, col_end) -> None:
-    """Fold a similarity u on rows and columns [w0, w1) into q and into the
-    parts of h outside that window: one matrix product each."""
+def _apply_window(h, q, lo, hi, w0, w1, u) -> None:
+    """Fold a similarity u on rows and columns [w0, w1) of the active block
+    [lo, hi) into q and into the parts of h outside that window: one matrix
+    product each."""
+    row_start, col_end = _span(h, q, lo, hi)
     if w0 > row_start:
         h[row_start:w0, w0:w1] = h[row_start:w0, w0:w1] @ u
     if col_end > w1:
@@ -371,14 +376,14 @@ def _apply_window(h, q, w0, w1, u, row_start, col_end) -> None:
         q[:, w0:w1] = q[:, w0:w1] @ u
 
 
-def _solve_block(h, q, lo, hi, eig_only) -> None:
+def _solve_block(h, q, lo, hi) -> None:
     """Triangularize the unreduced block [lo, hi) as a standalone matrix."""
     blk = h[lo:hi, lo:hi].copy()
-    v = None if eig_only else np.eye(hi - lo, dtype=np.complex128)
-    _triangularize(blk, v, eig_only)
+    v = None if q is None else np.eye(hi - lo, dtype=np.complex128)
+    _triangularize(blk, v)
     h[lo:hi, lo:hi] = blk
     if v is not None:
-        _apply_window(h, q, lo, hi, v, 0, h.shape[0])
+        _apply_window(h, q, lo, hi, lo, hi, v)
 
 
 def _swap_up(t: np.ndarray, v: np.ndarray, j: int, i: int) -> None:
@@ -398,7 +403,7 @@ def _swap_up(t: np.ndarray, v: np.ndarray, j: int, i: int) -> None:
         t[k + 1, k + 1] = t11
 
 
-def _aed(h, q, lo, hi, nw, eig_only) -> tuple[int, np.ndarray]:
+def _aed(h, q, lo, hi, nw) -> tuple[int, np.ndarray]:
     """Aggressive early deflation on the trailing nw x nw window of [lo, hi).
 
     The window is brought to Schur form t = v* w v.  Its coupling to the rest
@@ -409,12 +414,11 @@ def _aed(h, q, lo, hi, nw, eig_only) -> tuple[int, np.ndarray]:
     eigenvalues deflated and the undeflated ones, which are the next shifts.
     When nothing deflates, h is left as it was.
     """
-    n = h.shape[0]
     kwtop = hi - nw
     s = complex(h[kwtop, kwtop - 1])
     t = np.triu(h[kwtop:hi, kwtop:hi], -1)
     v = np.eye(nw, dtype=np.complex128)
-    _triangularize(t, v, eig_only=False)
+    _triangularize(t, v)
     t = np.triu(t)
     abs_s = abs(s)
     keep = nw
@@ -444,8 +448,7 @@ def _aed(h, q, lo, hi, nw, eig_only) -> tuple[int, np.ndarray]:
         v[:, :keep] = v[:, :keep] @ w
     h[kwtop, kwtop - 1] = s * v[0, 0].conjugate()
     h[kwtop:hi, kwtop:hi] = np.triu(t, -1)
-    row_start, col_end = (lo, hi) if eig_only else (0, n)
-    _apply_window(h, q, kwtop, hi, v, row_start, col_end)
+    _apply_window(h, q, lo, hi, kwtop, hi, v)
     return nw - keep, shifts
 
 
@@ -469,7 +472,7 @@ def _chain_rotations(fg: np.ndarray) -> np.ndarray:
     return rot
 
 
-def _chase(h, q, lo, hi, shifts, eig_only) -> None:
+def _chase(h, q, lo, hi, shifts) -> None:
     """Chase one chain of bulges, one per shift, through the block [lo, hi).
 
     Each bulge is that of a single-shift sweep.  The bulges sit two rows
@@ -479,9 +482,7 @@ def _chase(h, q, lo, hi, shifts, eig_only) -> None:
     the chain; the window's rotations reach the rest of h, and q, through
     one matrix product per window.
     """
-    n = h.shape[0]
     m = len(shifts)
-    row_start, col_end = (lo, hi) if eig_only else (0, n)
     span = hi - lo - 2  # bulge k is in the block while 0 <= t - 2k <= span
     total = 2 * (m - 1) + span + 1
     t0 = 0
@@ -527,7 +528,7 @@ def _chase(h, q, lo, hi, shifts, eig_only) -> None:
             slab = win[:r1, rows].T.reshape(cnt, 2, r1)
             slab[...] = rot.conj() @ slab
         h[w0:w1, w0:w1] = win
-        _apply_window(h, q, w0, w1, both[:, nw:].conj().T, row_start, col_end)
+        _apply_window(h, q, lo, hi, w0, w1, both[:, nw:].conj().T)
         t0 = t1
 
 
@@ -536,8 +537,10 @@ def _shift_count(nact: int) -> int:
     return max(16, min(_MAX_SHIFTS, nact // 16))
 
 
-def _triangularize(h: np.ndarray, q: np.ndarray | None, eig_only: bool) -> None:
-    """Drive the Hessenberg matrix h to upper triangular form in place.
+def _triangularize(h: np.ndarray, q: np.ndarray | None) -> None:
+    """Drive the Hessenberg matrix h to upper triangular form in place; q,
+    when given, absorbs every similarity from the right.  Without q, only
+    the active block is updated, which leaves the diagonal the same.
 
     Each iteration on the unreduced block at the bottom is one aggressive
     early deflation followed by one multishift sweep, chased as chains of at
@@ -549,7 +552,7 @@ def _triangularize(h: np.ndarray, q: np.ndarray | None, eig_only: bool) -> None:
     if anorm == 0.0 or n == 1:
         return
     if n < _MULTISHIFT_MIN:
-        _single_shift(h, q, eig_only)
+        _single_shift(h, q)
         return
     spent = 0
     stall = 0
@@ -558,11 +561,11 @@ def _triangularize(h: np.ndarray, q: np.ndarray | None, eig_only: bool) -> None:
         lo = _split(h, hi, anorm)
         if hi - lo < _MULTISHIFT_MIN:
             if hi - lo > 1:
-                _solve_block(h, q, lo, hi, eig_only)
+                _solve_block(h, q, lo, hi)
             hi = lo
             continue
         ns = _shift_count(hi - lo)
-        ndfl, shifts = _aed(h, q, lo, hi, ns, eig_only)
+        ndfl, shifts = _aed(h, q, lo, hi, ns)
         hi -= ndfl
         stall = 0 if ndfl else stall + 1
         if hi - lo < _MULTISHIFT_MIN:
@@ -572,13 +575,13 @@ def _triangularize(h: np.ndarray, q: np.ndarray | None, eig_only: bool) -> None:
             shifts = h[idx, idx] + 0.75 * np.abs(h[idx, idx - 1])
         elif shifts.size < ns // 2:
             tail = h[hi - ns : hi, hi - ns : hi].copy()
-            _triangularize(tail, None, eig_only=True)
+            _triangularize(tail, None)
             shifts = np.diag(tail)
         shifts = shifts[-ns:]
         spent += shifts.size
         _check_budget(spent, h)
         for c in range(0, shifts.size, _CHAIN):
-            _chase(h, q, lo, hi, shifts[c : c + _CHAIN], eig_only)
+            _chase(h, q, lo, hi, shifts[c : c + _CHAIN])
 
 
 def schur(a) -> SchurForm:
@@ -597,7 +600,7 @@ def schur(a) -> SchurForm:
     h = m.copy()
     q = np.eye(n, dtype=np.complex128)
     _hessenberg(h, q)
-    _triangularize(h, q, eig_only=False)
+    _triangularize(h, q)
     t = np.triu(h)
     anorm = float(np.linalg.norm(m))
     if anorm == 0.0:
@@ -619,5 +622,5 @@ def eigenvalues(a) -> np.ndarray:
     m = as_square_matrix(a)
     h = m.copy()
     _hessenberg(h, None)
-    _triangularize(h, None, eig_only=True)
+    _triangularize(h, None)
     return np.diag(h).copy()

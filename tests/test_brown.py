@@ -27,14 +27,14 @@ def uniform_disk_matrix(n: int) -> np.ndarray:
 
 def test_eigenvalues_of_a_diagonal_matrix():
     vals = np.array([1 + 1j, 0.0, 2.0, -3j])
-    got = brown.brown_from_eigenvalues(np.diag(vals))
+    got = linalg.eigenvalues(np.diag(vals))
     assert np.allclose(np.sort_complex(got), np.sort_complex(vals), atol=1e-12)
 
 
 def test_eigenvalues_ignore_the_nilpotent_part():
     diag = np.array([0.5, -0.5, 1j, -1j, 2.0, 0.0])
     a = np.diag(diag) + np.triu(np.full((6, 6), 0.3 + 0.1j), k=1)
-    got = brown.brown_from_eigenvalues(a)
+    got = linalg.eigenvalues(a)
     assert np.allclose(np.sort_complex(got), np.sort_complex(diag), atol=1e-8)
 
 
@@ -146,15 +146,6 @@ def test_density_of_nonnormal_microstate_concentrates_on_a_disk():
     assert field.mass_within(0j, 1.1 * r_eps) > 0.9
 
 
-def test_grid_threads_do_not_change_the_field():
-    a = uniform_disk_matrix(64)
-    one = brown.brown_logdet_grid(a, GridSpec.square(1.5, 32), delta_reg=0.1)
-    two = brown.brown_logdet_grid(
-        a, GridSpec.square(1.5, 32), delta_reg=0.1, threads=2
-    )
-    assert np.array_equal(one.values, two.values)
-
-
 def svd_log_potential(a: np.ndarray, w: complex, delta: float) -> float:
     """sum_i log(sigma_i(a - w)^2 + delta^2) / (2 k), from singular values."""
     k = a.shape[0]
@@ -190,6 +181,16 @@ def test_grid_square_geometry():
     assert len(g.xs) == 64 and len(g.ys) == 64
     assert g.dx == pytest.approx(3.0 / 63)
     assert set(g.as_dict()) == {"xmin", "xmax", "ymin", "ymax", "nx", "ny"}
+
+
+def test_covering_grid_is_accepted_and_needs_positive_regularization():
+    a = uniform_disk_matrix(32) + np.triu(np.full((32, 32), 0.02), k=1)
+    grid = GridSpec.covering(a, 0.25)
+    assert grid.dx <= 0.25
+    assert brown.brown_logdet_grid(a, grid, 0.25).mass > 0.0
+    for bad in (0.0, -0.1):
+        with pytest.raises(ConfigError):
+            GridSpec.covering(a, bad)
 
 
 def test_grid_rejects_degenerate_shapes():

@@ -342,8 +342,13 @@ def test_abbreviated_config_flag_is_refused(tmp_path, capsys):
         ["freeness", "--order", 0],
         ["eeps", "--gen-k", 8, "--trials", 10],
         ["selberg", "--n-grid", 0],
+        ["brown", "--k", 8, "--delta-reg", 0],
+        ["selberg", "--n-grid", ","],
     ],
-    ids=["sample-k", "brown-eps", "freeness-order", "eeps-trials", "selberg-grid"],
+    ids=[
+        "sample-k", "brown-eps", "freeness-order", "eeps-trials", "selberg-grid",
+        "brown-delta-reg", "selberg-empty-grid",
+    ],
 )
 def test_library_precondition_errors_exit_two(tmp_path, capsys, argv):
     assert run(*argv, "--seed", 1, "--out", tmp_path / "o") == 2

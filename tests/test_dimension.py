@@ -18,9 +18,7 @@ from dtlab.errors import ConfigError
 DELTA0 = measures.CompactMeasure.dirac(0.0)
 
 
-def packing_term_sum(
-    eps: float, big_n: int, k: int, f_lb_total: float, lvo: float = 0.0
-) -> float:
+def packing_term_sum(eps: float, big_n: int, k: int, f_lb_total: float) -> float:
     """Term-by-term rebuild of the packing bound for cross-checking."""
     n = big_n * k
     ball_dim = big_n * k * (k - 1)
@@ -29,7 +27,6 @@ def packing_term_sum(
         dyson.log_dyson_constant(n)
         + f_lb_total
         + (pairs_dim / 2.0) * math.log(big_n)
-        + pairs_dim * lvo
         + math.lgamma(n * n + 1)
         - (n * n) * math.log(math.pi * (6.0 * math.sqrt(n) * eps) ** 2)
     )
@@ -77,15 +74,14 @@ def test_ball_volume_rejects_bad_input():
 
 def test_packing_bound_matches_term_sum():
     cases = [
-        (0.1, 2, 4, -3.0, 0.0),
-        (0.01, 8, 16, -120.0, 0.0),
-        (0.1, 2, 4, -3.0, 0.25),
-        (0.05, 3, 5, 0.0, -0.1),
+        (0.1, 2, 4, -3.0),
+        (0.01, 8, 16, -120.0),
+        (0.05, 3, 5, 0.0),
     ]
-    for eps, big_n, k, f_total, lvo in cases:
-        got = dimension.packing_lower_bound_log(eps, big_n, k, f_total, lvo)
+    for eps, big_n, k, f_total in cases:
+        got = dimension.packing_lower_bound_log(eps, big_n, k, f_total)
         assert got == pytest.approx(
-            packing_term_sum(eps, big_n, k, f_total, lvo), rel=1e-12
+            packing_term_sum(eps, big_n, k, f_total), rel=1e-12
         )
 
 

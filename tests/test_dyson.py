@@ -324,13 +324,6 @@ def test_lower_bound_sits_below_the_estimates():
     assert lb.log_value <= est.unbiased.log_value + 3 * est.unbiased.std_error
 
 
-def test_lower_bound_normalization_divides_by_pair_dimension():
-    pts = np.array([0.1 + 0.2j, -0.3j])
-    raw = dyson.separation_integral_lower_bound(pts, 0.05, 0.3)
-    norm = dyson.separation_integral_lower_bound(pts, 0.05, 0.3, normalized=True)
-    assert norm.log_value == pytest.approx(raw.log_value / 4.0, rel=1e-12)
-
-
 # ----------------------------------------------------------------------------
 # Radius schedule
 

@@ -233,11 +233,14 @@ def test_eigenvalues_invariant_under_unitary_similarity():
     assert np.allclose(lam1, lam2, atol=1e-8)
 
 
-def test_schur_and_eigenvalues_agree():
-    a = random_complex(30, 9)
-    lam1 = np.sort_complex(linalg.eigenvalues(a))
-    lam2 = np.sort_complex(linalg.schur(a).diagonal)
-    assert np.allclose(lam1, lam2, atol=1e-9)
+@pytest.mark.parametrize("n", [30, CROSS + 1, 300])
+def test_schur_and_eigenvalues_agree(n):
+    # Below CROSS both run single-shift QR; above it, multishift sweeps and
+    # AED windows, which update all of h and q or only the active block.
+    a = random_complex(n, 9)
+    ref = np.linalg.eigvals(a)
+    assert matched_rel_err(linalg.eigenvalues(a), ref) <= 1e-12
+    assert matched_rel_err(linalg.schur(a).diagonal, ref) <= 1e-12
 
 
 def test_schur_deterministic_across_calls():
