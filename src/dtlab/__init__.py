@@ -40,7 +40,6 @@ from .ensembles import (
     FreenessReport,
     StarWord,
     assemble_block_dt,
-    enumerate_star_words,
     freeness_check,
     sample_diagonal,
     sample_dt,
@@ -100,7 +99,6 @@ __all__ = [
     "FreenessReport",
     "StarWord",
     "assemble_block_dt",
-    "enumerate_star_words",
     "freeness_check",
     "sample_diagonal",
     "sample_dt",

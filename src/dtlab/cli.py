@@ -273,9 +273,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
         chi_offset=args.chi_offset,
         seed=args.seed,
     )
-    dimension.write_scan_csv(rows, out / "scan.csv", config)
     if not rows:
         raise ConfigError("no admissible eps in the grid; nothing to scan")
+    dimension.write_scan_csv(rows, out / "scan.csv", config)
     hats = [r.delta_hat for r in rows]
     slack = 0.05
     non_decreasing = all(b >= a - slack for a, b in zip(hats, hats[1:]))

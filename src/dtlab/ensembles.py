@@ -36,7 +36,6 @@ __all__ = [
     "assemble_block_dt",
     "star_moment",
     "star_moment_table",
-    "enumerate_star_words",
     "freeness_check",
 ]
 
@@ -82,9 +81,7 @@ class StarWord:
         return len(self.letters)
 
     def __str__(self) -> str:
-        return "".join(
-            chr(ord("a") + i) + ("*" if adj else "") for i, adj in self.letters
-        )
+        return _label(self.letters)
 
     @classmethod
     def parse(cls, text: str) -> "StarWord":
@@ -104,20 +101,6 @@ class StarWord:
             else:
                 raise ValueError(f"bad character {ch!r} in star word {text!r}")
         return cls(tuple(letters))
-
-
-def enumerate_star_words(max_len: int, generators: int = 1) -> list[StarWord]:
-    """All star words of length 1..max_len over the given generator count."""
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
-    out = []
-    letters = [
-        (i, adj) for i in range(generators) for adj in (False, True)
-    ]
-    for length in range(1, max_len + 1):
-        for combo in itertools.product(letters, repeat=length):
-            out.append(StarWord(combo))
-    return out
 
 
 def _complex_normal(rng: np.random.Generator, shape, variance: float) -> np.ndarray:
@@ -221,57 +204,99 @@ def _resolve_family(family) -> list[np.ndarray]:
     return mats
 
 
+def _label(letters: tuple) -> str:
+    return "".join(chr(ord("a") + i) + ("*" if adj else "") for i, adj in letters)
+
+
+def _adjoint(word: tuple) -> tuple:
+    """Letters of w* for the letters of w."""
+    return tuple((idx, not adj) for idx, adj in reversed(word))
+
+
+class _TraceEngine:
+    """Normalized traces tr_k(w) of raw words w in a matrix family.
+
+    A word of L >= 2 letters is split as w = h r with ceil(L/2) letters in h,
+    and tr(h r) = vdot(P[r*], P[h]), so only products of at most ceil(L/2)
+    letters are ever formed.  Each product P[w] is formed on first use from
+    P[w minus its last letter], once per adjoint pair: P[w*] is the conjugate
+    transpose of P[w], never a second matrix product.  Traces are memoized,
+    with tr(w*) = conj tr(w).
+    """
+
+    def __init__(self, mats: list[np.ndarray]):
+        self.k = mats[0].shape[0]
+        self._mat = {((i, False),): np.ascontiguousarray(a) for i, a in enumerate(mats)}
+        self._tr: dict[tuple, complex] = {}
+
+    def _matrix(self, word: tuple) -> np.ndarray:
+        m = self._mat.get(word)
+        if m is None:
+            adj = self._mat.get(_adjoint(word))
+            if adj is not None:
+                m = np.conj(adj.T, order="C")
+            else:
+                m = self._matrix(word[:-1]) @ self._matrix(word[-1:])
+            self._mat[word] = m
+        return m
+
+    def trace(self, word: tuple) -> complex:
+        tr = self._tr.get(word)
+        if tr is None:
+            adj = self._tr.get(_adjoint(word))
+            if adj is not None:
+                tr = adj.conjugate()
+            elif len(word) == 1:
+                tr = complex(np.trace(self._matrix(word))) / self.k
+            else:
+                h = (len(word) + 1) // 2
+                # Both operands C-contiguous, one pass.
+                tr = complex(
+                    np.vdot(self._matrix(_adjoint(word[h:])), self._matrix(word[:h]))
+                ) / self.k
+            self._tr[word] = tr
+        return tr
+
+
 def star_moment(family, word: StarWord) -> complex:
     """Normalized trace of the word evaluated in the family."""
     mats = _resolve_family(family)
-    k = mats[0].shape[0]
-    prod = None
-    for idx, adj in word.letters:
+    for idx, _ in word.letters:
         if idx >= len(mats):
             raise ValueError(
                 f"word uses generator {idx} but family has {len(mats)} members"
             )
-        m = mats[idx].conj().T if adj else mats[idx]
-        prod = m if prod is None else prod @ m
-    return complex(np.trace(prod) / k)
-
-
-def _prefix_traces(letters: dict, prefix: tuple, mat, max_len: int):
-    """Yield (word, trace) for every word that extends ``prefix`` by up to
-    ``max_len - len(prefix)`` letters, depth first; ``mat`` is the prefix's
-    product (None for the empty prefix) and is shared by its extensions."""
-    for adj in (False, True):
-        word = prefix + ((0, adj),)
-        if mat is None:
-            yield word, np.trace(letters[adj])
-        else:
-            # tr(P L) = vdot(L*, P): both operands C-contiguous, one pass.
-            yield word, np.vdot(letters[not adj], mat)
-        if len(word) < max_len:
-            nxt = letters[adj] if mat is None else mat @ letters[adj]
-            yield from _prefix_traces(letters, word, nxt, max_len)
+    return _TraceEngine(mats).trace(word.letters)
 
 
 def star_moment_table(a, max_len: int) -> dict[StarWord, complex]:
     """All *-moments of a single matrix up to the given word length.
 
-    Shares prefix products across words, so the cost is one matrix product
-    per interior node of the word tree rather than per word.
+    Every trace is one ``vdot`` of two products of at most ceil(max_len/2)
+    letters, so the table forms one matrix product per adjoint pair of
+    words of 2..ceil(max_len/2) letters (3 at max_len 4), and a word whose
+    adjoint was traced first gets the conjugate of that trace.
     """
     m = as_square_matrix(a)
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    k = m.shape[0]
-    letters = {False: m, True: np.ascontiguousarray(m.conj().T)}
-    return {
-        StarWord(word): complex(tr / k)
-        for word, tr in _prefix_traces(letters, (), None, max_len)
-    }
+    engine = _TraceEngine([m])
+    words = sorted(
+        word
+        for length in range(1, max_len + 1)
+        for word in itertools.product(((0, False), (0, True)), repeat=length)
+    )
+    return {StarWord(word): engine.trace(word) for word in words}
 
 
 @dataclass(frozen=True)
 class FreenessReport:
-    """Outcome of the alternating-product freeness probe."""
+    """Outcome of the alternating-product freeness probe.
+
+    ``products_checked`` counts every alternating product the maximum
+    covers; ``traces_evaluated`` counts the products actually traced, one
+    per class of products with equal |trace| (see ``freeness_check``).
+    """
 
     max_abs_trace: float
     worst_product: str
@@ -279,6 +304,7 @@ class FreenessReport:
     gamma: float
     order: int
     products_checked: int
+    traces_evaluated: int
 
     def as_dict(self) -> dict:
         return {
@@ -288,50 +314,64 @@ class FreenessReport:
             "gamma": self.gamma,
             "order": self.order,
             "products_checked": self.products_checked,
+            "traces_evaluated": self.traces_evaluated,
         }
 
 
-def _factor_label(idx: int, bits: tuple[bool, ...]) -> str:
-    return "".join(chr(ord("a") + idx) + ("*" if adj else "") for adj in bits)
+def _product_class(product: tuple) -> list[tuple]:
+    """Products whose centered trace has the modulus of ``product``'s: its
+    adjoints and, when the first and last factors use different members (so
+    every rotation still alternates), the cyclic rotations of its factors."""
+    rotations = [product]
+    if product[0][0][0] != product[-1][0][0]:
+        rotations = [product[j:] + product[:j] for j in range(len(product))]
+    return rotations + [tuple(map(_adjoint, reversed(p))) for p in rotations]
 
 
-def _alternating_traces(centered, members, order, path, prod, last, used, label):
-    """Depth-first walk over the alternating products that extend ``prod``.
+def _alternating_products(factors, prefix, used, order):
+    """Yield every extension of ``prefix`` by factors in a member other than
+    the previous factor's, up to ``order`` letters in all, depth first."""
+    for factor in factors:
+        if factor[0][0] != prefix[-1][0][0] and used + len(factor) <= order:
+            product = prefix + (factor,)
+            yield product
+            yield from _alternating_products(factors, product, used + len(factor), order)
 
-    ``prod`` has ``label.count("|") + 1`` factors and ``used`` letters, and
-    its last factor is a word in member ``last``.  Yields (|tr_k(prod c)|,
-    label) for every centered word c that may follow it; while letters
-    remain, prod c is written into ``path`` at its depth and extended in turn.
-    """
-    k = prod.shape[0]
-    depth = label.count("|")
-    for idx in range(members):
-        if idx == last:
-            continue
-        for length in range(1, order - used + 1):
-            for bits in itertools.product((False, True), repeat=length):
-                c = centered[(idx, bits)]
-                # tr(prod c) = vdot(c*, prod), and c* is the stored centered
-                # word of the reversed, flipped letters.
-                c_adj = centered[(idx, tuple(not b for b in reversed(bits)))]
-                here = label + "|" + _factor_label(idx, bits)
-                yield abs(np.vdot(c_adj, prod)) / k, here
-                if used + length <= order - 1:
-                    yield from _alternating_traces(
-                        centered, members, order, path,
-                        np.matmul(prod, c, out=path[depth]), idx, used + length, here,
-                    )
+
+def _centered_trace(engine: _TraceEngine, product: tuple) -> complex:
+    """tr_k of the product of centered factors W_i - alpha_i I, alpha_i = tr_k(W_i),
+    expanded as sum_S prod_{i not in S} (-alpha_i) tr_k(prod_{i in S} W_i)."""
+    alphas = [engine.trace(w) for w in product]
+    total = 0j
+    for keep in itertools.product((False, True), repeat=len(product)):
+        coef = 1.0 + 0j
+        word = ()
+        for w, alpha, raw in zip(product, alphas, keep):
+            if raw:
+                word += w
+            else:
+                coef *= -alpha
+        total += coef * (engine.trace(word) if word else 1.0)
+    return total
 
 
 def freeness_check(family, order: int, gamma: float) -> FreenessReport:
     """Probe approximate *-freeness of a matrix family.
 
-    Enumerates all alternating products of at least two centered factors,
-    where each factor is a word of length >= 1 in a single family member and
-    its adjoint (centered by subtracting its normalized trace), adjacent
-    factors use different members, and the total letter count is at most
-    ``order``.  Reports the largest normalized-trace magnitude and compares
-    it against ``gamma``.
+    Covers all alternating products of at least two centered factors, where
+    each factor is a word of length >= 1 in a single family member and its
+    adjoint (centered by subtracting its normalized trace), adjacent factors
+    use different members, and the total letter count is at most ``order``.
+    Reports the largest normalized-trace magnitude and compares it against
+    ``gamma``.
+
+    Products fall into classes of equal |trace|: a product, its adjoint and,
+    when the result still alternates, every cyclic rotation of its factors.
+    One representative per class is traced, and ``worst_product`` is the
+    lexicographically least label in the winning class.  No centered matrix
+    is formed: the product of W_i - alpha_i I is expanded over the subsets
+    of factors kept raw, and every raw trace is one ``vdot`` of two products
+    of at most ceil(order/2) letters.
 
     A family with fewer than two members (or order < 2) has no such product
     and passes vacuously.
@@ -341,40 +381,29 @@ def freeness_check(family, order: int, gamma: float) -> FreenessReport:
     if not (gamma > 0):
         raise ValueError("gamma must be positive")
     mats = _resolve_family(family)
-    k = mats[0].shape[0]
     if len(mats) < 2 or order < 2:
-        return FreenessReport(0.0, "", True, gamma, order, 0)
+        return FreenessReport(0.0, "", True, gamma, order, 0, 0)
 
-    # Every word of length < order in each member, C-contiguous, in walk
-    # order: member by member, shortest first.
-    centered: dict[tuple[int, tuple[bool, ...]], np.ndarray] = {}
-    for idx, a in enumerate(mats):
-        letters = {False: a.copy(), True: np.ascontiguousarray(a.conj().T)}
-        for length in range(1, order):
-            for bits in itertools.product((False, True), repeat=length):
-                centered[idx, bits] = (
-                    letters[bits[0]] if length == 1
-                    else centered[idx, bits[:-1]] @ letters[bits[-1]]
-                )
-    # Centered in place once every longer word is built from the raw ones.
-    for w in centered.values():
-        w.flat[:: k + 1] -= np.trace(w) / k
-
-    best = 0.0
-    worst = ""
+    factors = [
+        tuple((idx, adj) for adj in bits)
+        for idx in range(len(mats))
+        for length in range(1, order)
+        for bits in itertools.product((False, True), repeat=length)
+    ]
+    classes: dict[str, tuple] = {}
     checked = 0
-    # One product buffer per depth, for products of 2 .. order - 1 factors.
-    # The walk is a module-level generator: a recursive closure would be a
-    # reference cycle that keeps every word alive until garbage collection.
-    path = np.empty((order - 2, k, k), dtype=np.complex128)
-    for (idx, bits), first in centered.items():
-        for value, label in _alternating_traces(
-            centered, len(mats), order, path,
-            first, idx, len(bits), _factor_label(idx, bits),
-        ):
+    for first in factors:
+        for product in _alternating_products(factors, (first,), len(first), order):
             checked += 1
-            if value > best:
-                best = float(value)
-                worst = label
+            label, rep = min(
+                ("|".join(map(_label, p)), p) for p in _product_class(product)
+            )
+            classes[label] = rep
 
-    return FreenessReport(best, worst, best <= gamma, gamma, order, checked)
+    engine = _TraceEngine(mats)
+    values = {label: abs(_centered_trace(engine, rep)) for label, rep in classes.items()}
+    best = max(values.values())
+    worst = min(label for label, value in values.items() if value == best)
+    return FreenessReport(
+        float(best), worst, best <= gamma, gamma, order, checked, len(classes)
+    )

@@ -269,6 +269,15 @@ def test_scan_rejects_an_empty_grid(tmp_path, capsys):
     assert "no admissible eps" in capsys.readouterr().err
 
 
+def test_scan_refuses_before_writing_anything(tmp_path):
+    out = tmp_path / "c"
+    code = run(
+        "scan", "--seed", 1, "--k", 8, "--bigN", 2, "--eps-grid", 0.5, "--out", out,
+    )
+    assert code == 2
+    assert not (out / "scan.csv").exists()
+
+
 # ----------------------------------------------------------------------------
 # freeness
 
@@ -284,6 +293,8 @@ def test_freeness_independent_ginibres_pass(tmp_path):
     assert payload["passed"] is True
     assert payload["max_abs_trace"] < 0.2
     assert payload["products_checked"] > 0
+    # One traced representative per class of products with equal |trace|.
+    assert 0 < payload["traces_evaluated"] < payload["products_checked"]
 
 
 def test_freeness_repeated_member_fails(tmp_path):

@@ -176,13 +176,6 @@ def test_star_word_parse_skips_whitespace():
     assert str(StarWord.parse("a b*")) == "ab*"
 
 
-def test_enumerate_star_words_counts():
-    # One generator with adjoints gives 2^1 + ... + 2^L words, two give
-    # 4 + 16 + 64 for L = 3.
-    assert len(ensembles.enumerate_star_words(3, generators=1)) == 2 + 4 + 8
-    assert len(ensembles.enumerate_star_words(3, generators=2)) == 4 + 16 + 64
-
-
 def test_star_moment_of_identity_words():
     k = 16
     eye = np.eye(k, dtype=np.complex128)
@@ -291,14 +284,40 @@ def test_freeness_check_of_strict_upper_pair_matches_brute_force(k, seed, order)
     _check_against_brute_force(fam, order)
 
 
+def test_freeness_check_at_order_six_matches_brute_force():
+    # Raw words of 5 and 6 letters split into halves of 3 letters.
+    _check_against_brute_force(_ginibre_family(10, 2, seed=6), 6)
+
+
+def full_product_trace(family, letters):
+    """tr_k of a word multiplied out left to right."""
+    mats = [family[i].conj().T if adj else family[i] for i, adj in letters]
+    return np.trace(reduce(np.matmul, mats)) / family[0].shape[0]
+
+
 def test_star_moment_table_matches_full_products():
     rng = np.random.default_rng(4)
     m = np.triu(rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10)))
-    table = ensembles.star_moment_table(m, 5)
-    assert len(table) == 2 + 4 + 8 + 16 + 32
-    for word, value in table.items():
-        prod = reduce(np.matmul, [m.conj().T if adj else m for _, adj in word.letters])
-        assert value == pytest.approx(np.trace(prod) / 10, rel=1e-12, abs=1e-12)
+    for max_len in (5, 6):
+        table = ensembles.star_moment_table(m, max_len)
+        assert len(table) == 2 ** (max_len + 1) - 2
+        for word, value in table.items():
+            assert value == pytest.approx(
+                full_product_trace([m], word.letters), rel=1e-12, abs=1e-12
+            )
+
+
+def test_trace_engine_matches_full_products_on_mixed_words():
+    # Every word of at most 5 letters in two members and their adjoints,
+    # odd lengths included; no product longer than 3 letters is formed.
+    fam = _ginibre_family(8, 2, seed=9)
+    engine = ensembles._TraceEngine(fam)
+    letters = [(i, adj) for i in range(2) for adj in (False, True)]
+    for length in range(1, 6):
+        for word in itertools.product(letters, repeat=length):
+            want = full_product_trace(fam, word)
+            assert engine.trace(word) == pytest.approx(want, rel=1e-12, abs=1e-14)
+    assert max(len(w) for w in engine._mat) == 3
 
 
 def test_freeness_check_leaves_a_repeated_member_unchanged():
@@ -306,6 +325,22 @@ def test_freeness_check_leaves_a_repeated_member_unchanged():
     before = g.copy()
     _check_against_brute_force([g, g], 4)
     assert np.array_equal(g, before)
+
+
+def product_class(label):
+    """Labels of a product's adjoints and, when every rotation still
+    alternates, of the cyclic rotations of its factors."""
+
+    def adjoint(factor):
+        word = StarWord.parse(factor)
+        return str(StarWord(tuple((i, not adj) for i, adj in reversed(word.letters))))
+
+    factors = label.split("|")
+    rotations = [factors]
+    if factors[0][0] != factors[-1][0]:
+        rotations = [factors[j:] + factors[:j] for j in range(len(factors))]
+    adjoints = [[adjoint(f) for f in reversed(r)] for r in rotations]
+    return {"|".join(r) for r in rotations + adjoints}
 
 
 def _check_against_brute_force(family, order):
@@ -316,3 +351,13 @@ def _check_against_brute_force(family, order):
     assert report.max_abs_trace == pytest.approx(best, rel=0, abs=1e-12)
     # Products tied with the maximum up to rounding may be reported instead.
     assert values[report.worst_product] >= best - 1e-12
+    # The class rule holds: each class is a set of alternating products with
+    # one |trace|, one is traced per class, and the least label is reported.
+    classes = {min(product_class(label)) for label in values}
+    assert report.traces_evaluated == len(classes)
+    for label in classes:
+        assert all(
+            values[q] == pytest.approx(values[label], rel=0, abs=1e-12)
+            for q in product_class(label)
+        )
+    assert report.worst_product == min(product_class(report.worst_product))
