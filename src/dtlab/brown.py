@@ -36,6 +36,9 @@ __all__ = [
     "radial_cdf_curve",
 ]
 
+#: Evenly spaced t at which ``radial_cdf_curve`` samples F(t) on [0, 1.5].
+_RADIAL_CURVE_POINTS = 151
+
 
 @dataclass(frozen=True, eq=False)
 class MicrostatePair:
@@ -188,12 +191,6 @@ class DensityField:
     def mass(self) -> float:
         return float(self.values.sum() * self.grid.dx * self.grid.dy)
 
-    def mass_within(self, center: complex, radius: float) -> float:
-        """Density mass inside the disk of the given center and radius."""
-        zs = self.grid.xs[None, :] + 1j * self.grid.ys[:, None]
-        inside = np.abs(zs - center) <= radius
-        return float(self.values[inside].sum() * self.grid.dx * self.grid.dy)
-
     def to_csv(self, path, extra_header: dict | None = None) -> None:
         """Write '# <json header>' then x,y,density rows (row-major in y)."""
         header = {
@@ -310,9 +307,9 @@ def radial_cdf_distance(points, center: complex, radius: float) -> float:
     return max(best, abs(f_end - 1.0))
 
 
-def radial_cdf_curve(points, center: complex, radius: float, num: int = 151):
+def radial_cdf_curve(points, center: complex, radius: float):
     """(t, F(t)) samples of the scaled radial empirical CDF on [0, 1.5]."""
     s = np.abs(np.asarray(points, dtype=np.complex128).ravel() - center) / radius
-    ts = np.linspace(0.0, 1.5, num)
+    ts = np.linspace(0.0, 1.5, _RADIAL_CURVE_POINTS)
     f = np.searchsorted(np.sort(s), ts, side="right") / s.size
     return ts, f

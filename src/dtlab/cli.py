@@ -108,7 +108,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         out / "moments.json",
         {
             "config": config,
-            "moments": {str(w): _complex_pair(v) for w, v in table.items()},
+            "moments": {w: _complex_pair(v) for w, v in table.items()},
         },
     )
     return 0

@@ -23,15 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from . import brown, dyson, ensembles, linalg
+from . import brown, dyson, linalg
 from .errors import ConfigError
 from .measures import CompactMeasure
 from .rng import derive_seed
 
 __all__ = [
-    "MicrostateParams",
-    "MembershipReport",
-    "microstate_membership",
     "log_ball_volume",
     "packing_lower_bound_log",
     "assemble_delta_hat",
@@ -41,75 +38,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class MicrostateParams:
-    """Moment order, tolerance, and size for microstate membership."""
-
-    m: int
-    gamma: float
-    k: int
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"moment order m must be >= 1, got {self.m}")
-        if not (self.gamma > 0):
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-
-
-@dataclass(frozen=True)
-class MembershipReport:
-    passed: bool
-    max_deviation: float
-    worst_word: str
-    order: int
-    gamma: float
-
-    def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "max_deviation": self.max_deviation,
-            "worst_word": self.worst_word,
-            "order": self.order,
-            "gamma": self.gamma,
-        }
-
-
-def microstate_membership(
-    a: np.ndarray, reference_moments: dict, params: MicrostateParams
-) -> MembershipReport:
-    """Compare the trace moments of a against a reference moment table.
-
-    ``reference_moments`` maps words (StarWord or parseable string) to
-    expected normalized traces and must cover every word of length <= m;
-    a missing word is a configuration error, not a failed check.
-    """
-    reference = {}
-    for key, value in reference_moments.items():
-        word = key if isinstance(key, ensembles.StarWord) else ensembles.StarWord.parse(str(key))
-        reference[word] = complex(value)
-    table = ensembles.star_moment_table(a, params.m)
-    worst = ""
-    max_dev = 0.0
-    for word, value in table.items():
-        if word not in reference:
-            raise ConfigError(
-                f"reference moments missing word {word} at order <= {params.m}"
-            )
-        dev = abs(value - reference[word])
-        if dev >= max_dev:
-            max_dev = dev
-            worst = str(word)
-    return MembershipReport(
-        passed=max_dev <= params.gamma,
-        max_deviation=max_dev,
-        worst_word=worst,
-        order=params.m,
-        gamma=params.gamma,
-    )
 
 
 def log_ball_volume(dim: int, radius: float) -> float:

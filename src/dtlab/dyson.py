@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from . import linalg
 from .errors import ConfigError
 from .measures import pair_proximity_mass
 from .rng import substream
@@ -27,7 +26,6 @@ from .rng import substream
 __all__ = [
     "LogEstimate",
     "SeparationEstimate",
-    "log_dyson_density",
     "log_dyson_constant",
     "log_selberg_box_integral",
     "gamma_product_rate",
@@ -83,27 +81,6 @@ class SeparationEstimate:
             "trials": self.trials,
             "resampled": self.resampled,
         }
-
-
-def log_dyson_density(b: np.ndarray, include_constant: bool = False) -> float:
-    """Log density of the triangular-model law at b, up to the normalization.
-
-    Equals sum over p < q of 2 log |b_pp - b_qq|; -inf when two diagonal
-    entries coincide.  ``include_constant`` adds log_dyson_constant(k).
-    """
-    b = linalg.as_square_matrix(b, "b")
-    if np.count_nonzero(np.tril(b, -1)):
-        raise ValueError("input must be upper triangular")
-    d = np.diag(b)
-    k = d.size
-    i, j = np.triu_indices(k, 1)
-    gaps = np.abs(d[i] - d[j])
-    if gaps.size and gaps.min() == 0.0:
-        return -math.inf
-    total = float(2.0 * np.log(gaps).sum()) if gaps.size else 0.0
-    if include_constant:
-        total += log_dyson_constant(k)
-    return total
 
 
 def log_dyson_constant(k: int) -> float:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,14 +27,12 @@ from .rng import derive_seed, substream
 
 __all__ = [
     "DTParams",
-    "StarWord",
     "FreenessReport",
     "sample_ginibre",
     "sample_strict_upper",
     "sample_diagonal",
     "sample_dt",
     "assemble_block_dt",
-    "star_moment",
     "star_moment_table",
     "freeness_check",
 ]
@@ -56,51 +54,6 @@ class DTParams:
             raise ValueError(f"c must be positive and finite, got {self.c}")
         if not (isinstance(self.k, (int, np.integer)) and self.k >= 1):
             raise ValueError(f"k must be a positive integer, got {self.k}")
-
-
-@dataclass(frozen=True)
-class StarWord:
-    """Word in a family of matrices and their adjoints.
-
-    Letters are (generator index, adjoint flag) pairs; the compact string form
-    writes generator ``i`` as the letter ``chr(ord('a') + i)`` with ``*`` for
-    the adjoint, e.g. ``"aa*b"``.
-    """
-
-    letters: tuple[tuple[int, bool], ...]
-
-    def __post_init__(self):
-        if len(self.letters) == 0:
-            raise ValueError("a star word must have at least one letter")
-        norm = tuple((int(i), bool(adj)) for i, adj in self.letters)
-        if any(i < 0 for i, _ in norm):
-            raise ValueError("generator indices must be non-negative")
-        object.__setattr__(self, "letters", norm)
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __str__(self) -> str:
-        return _label(self.letters)
-
-    @classmethod
-    def parse(cls, text: str) -> "StarWord":
-        letters = []
-        for ch in text:
-            if ch.isspace():
-                continue
-            if ch == "*":
-                if not letters:
-                    raise ValueError(f"dangling adjoint marker in {text!r}")
-                idx, adj = letters[-1]
-                if adj:
-                    raise ValueError(f"double adjoint marker in {text!r}")
-                letters[-1] = (idx, True)
-            elif ch.isalpha() and ch.islower():
-                letters.append((ord(ch) - ord("a"), False))
-            else:
-                raise ValueError(f"bad character {ch!r} in star word {text!r}")
-        return cls(tuple(letters))
 
 
 def _complex_normal(rng: np.random.Generator, shape, variance: float) -> np.ndarray:
@@ -258,20 +211,10 @@ class _TraceEngine:
         return tr
 
 
-def star_moment(family, word: StarWord) -> complex:
-    """Normalized trace of the word evaluated in the family."""
-    mats = _resolve_family(family)
-    for idx, _ in word.letters:
-        if idx >= len(mats):
-            raise ValueError(
-                f"word uses generator {idx} but family has {len(mats)} members"
-            )
-    return _TraceEngine(mats).trace(word.letters)
-
-
-def star_moment_table(a, max_len: int) -> dict[StarWord, complex]:
+def star_moment_table(a, max_len: int) -> dict[str, complex]:
     """All *-moments of a single matrix up to the given word length.
 
+    Keys are word labels such as ``"aa*"``, where ``*`` marks the adjoint.
     Every trace is one ``vdot`` of two products of at most ceil(max_len/2)
     letters, so the table forms one matrix product per adjoint pair of
     words of 2..ceil(max_len/2) letters (3 at max_len 4), and a word whose
@@ -286,7 +229,7 @@ def star_moment_table(a, max_len: int) -> dict[StarWord, complex]:
         for length in range(1, max_len + 1)
         for word in itertools.product(((0, False), (0, True)), repeat=length)
     )
-    return {StarWord(word): engine.trace(word) for word in words}
+    return {_label(word): engine.trace(word) for word in words}
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,6 @@ __all__ = [
     "SchurForm",
     "as_square_matrix",
     "norm2",
-    "lu_logabsdet",
     "lu_logabsdet_stack",
     "schur",
     "eigenvalues",
@@ -93,17 +92,9 @@ def norm2(a) -> float:
     return float(np.linalg.norm(m) / math.sqrt(m.shape[0]))
 
 
-def lu_logabsdet(a) -> float:
-    """log|det a| via partial-pivot elimination; -inf for singular input."""
-    m = as_square_matrix(a)
-    sign, logdet = np.linalg.slogdet(m)
-    if sign == 0:
-        return float("-inf")
-    return float(logdet)
-
-
 def lu_logabsdet_stack(stack: np.ndarray) -> np.ndarray:
-    """Vectorized ``lu_logabsdet`` over a (..., k, k) stack."""
+    """log|det| of each matrix in a (..., k, k) stack by partial-pivot LU;
+    -inf for a singular matrix."""
     sign, logdet = np.linalg.slogdet(stack)
     out = np.asarray(logdet, dtype=float).copy()
     out[np.asarray(sign) == 0] = -np.inf

@@ -33,14 +33,11 @@ __all__ = [
     "DiskPart",
     "EmpiricalPart",
     "CompactMeasure",
-    "PerturbedMeasure",
     "perturbation_radius",
     "smear_atoms",
     "overlap_bound",
     "sample_measure",
     "pair_proximity_mass",
-    "measure_mean",
-    "support_radius",
     "disk_quantile_points",
     "quantile_counts",
     "quantile_allocation",
@@ -136,21 +133,6 @@ class CompactMeasure:
         return out
 
 
-@dataclass(frozen=True)
-class PerturbedMeasure:
-    """Atom-smeared companion of a base measure at perturbation scale eps.
-
-    ``smeared`` holds the result: each base atom becomes a uniform disk of
-    radius :func:`perturbation_radius`; diffuse parts are untouched.
-    """
-
-    base: CompactMeasure
-    smeared: CompactMeasure
-    c: float
-    eps: float
-    radii: tuple[float, ...]
-
-
 def perturbation_radius(a: float, c: float, eps: float) -> float:
     """Disk radius c * sqrt(a / log(1 + a / eps^2)) for an atom of mass a."""
     if not (0 < a <= 1):
@@ -162,14 +144,11 @@ def perturbation_radius(a: float, c: float, eps: float) -> float:
     return c * math.sqrt(a / math.log1p(a / (eps * eps)))
 
 
-def smear_atoms(mu: CompactMeasure, c: float, eps: float) -> PerturbedMeasure:
-    """Replace every atom of mu by a uniform disk of matching mass."""
-    radii = tuple(perturbation_radius(a, c, eps) for _, a in mu.atoms)
-    disks = tuple(
-        DiskPart(z, r, a) for (z, a), r in zip(mu.atoms, radii)
-    )
-    smeared = CompactMeasure(atoms=(), diffuse=disks + mu.diffuse)
-    return PerturbedMeasure(base=mu, smeared=smeared, c=c, eps=eps, radii=radii)
+def smear_atoms(mu: CompactMeasure, c: float, eps: float) -> CompactMeasure:
+    """Replace every atom of mu by a uniform disk of matching mass and radius
+    :func:`perturbation_radius`; diffuse parts are untouched."""
+    disks = tuple(DiskPart(z, perturbation_radius(a, c, eps), a) for z, a in mu.atoms)
+    return CompactMeasure(atoms=(), diffuse=disks + mu.diffuse)
 
 
 # ----------------------------------------------------------------------------
@@ -418,7 +397,7 @@ def _sample_points(
 
 
 def sample_measure(
-    mu: CompactMeasure | PerturbedMeasure, n: int, seed: int, mode: str = "quantile"
+    mu: CompactMeasure, n: int, seed: int, mode: str = "quantile"
 ) -> np.ndarray:
     """n points approximating mu.
 
@@ -427,45 +406,9 @@ def sample_measure(
     every point independently.  Disk points use exact polar sampling
     (radius = R * sqrt(u)).
     """
-    if isinstance(mu, PerturbedMeasure):
-        mu = mu.smeared
     if n < 1:
         raise ValueError("n must be >= 1")
     return _sample_points(substream(seed, 6), mu, n, mode)
-
-
-# ----------------------------------------------------------------------------
-# Descriptive helpers
-
-
-def measure_mean(mu: CompactMeasure | PerturbedMeasure) -> complex:
-    """First moment of the measure."""
-    if isinstance(mu, PerturbedMeasure):
-        mu = mu.smeared
-    total = 0j
-    for z, a in mu.atoms:
-        total += a * z
-    for p in mu.diffuse:
-        if isinstance(p, DiskPart):
-            total += p.mass * p.center
-        else:
-            total += p.mass * complex(p.points.mean())
-    return total
-
-
-def support_radius(mu: CompactMeasure | PerturbedMeasure) -> float:
-    """Radius of a disk around the origin containing the support."""
-    if isinstance(mu, PerturbedMeasure):
-        mu = mu.smeared
-    r = 0.0
-    for z, _ in mu.atoms:
-        r = max(r, abs(z))
-    for p in mu.diffuse:
-        if isinstance(p, DiskPart):
-            r = max(r, abs(p.center) + p.radius)
-        else:
-            r = max(r, float(np.abs(p.points).max()))
-    return r
 
 
 # ----------------------------------------------------------------------------
@@ -492,7 +435,7 @@ def _load_point_csv(path: Path) -> np.ndarray:
     return np.array(pts)
 
 
-def parse_measure_spec(specs: list[str], base_dir: Path | None = None) -> CompactMeasure:
+def parse_measure_spec(specs: list[str]) -> CompactMeasure:
     """Build a measure from literal component specs (see module docstring)."""
     if not specs:
         raise ValueError("measure spec is empty")
@@ -515,10 +458,8 @@ def parse_measure_spec(specs: list[str], base_dir: Path | None = None) -> Compac
             elif kind == "empirical":
                 if len(fields) != 2:
                     raise ValueError("empirical needs <csv-path>,<mass>")
-                path = Path(fields[0])
-                if base_dir is not None and not path.is_absolute():
-                    path = base_dir / path
-                diffuse.append(EmpiricalPart(_load_point_csv(path), float(fields[1])))
+                points = _load_point_csv(Path(fields[0]))
+                diffuse.append(EmpiricalPart(points, float(fields[1])))
             else:
                 raise ValueError(f"unknown component kind {kind!r}")
         except (TypeError, ValueError) as exc:

@@ -138,13 +138,13 @@ def test_criterion_05_perturbed_microstate_disk_law():
 def test_criterion_06_block_moment_self_consistency():
     with budget(300.0):
         direct = ensembles.sample_dt(ensembles.DTParams(DELTA0, 1.0, 1024, seed=0))
-        trace = ensembles.star_moment([direct], ensembles.StarWord.parse("a*a"))
+        direct_table = ensembles.star_moment_table(direct, 4)
+        trace = direct_table["a*a"]
         assert trace.real == pytest.approx(0.500, abs=0.02)
         assert abs(trace.imag) <= 1e-12
 
         block = ensembles.assemble_block_dt(DELTA0, 1.0, bigN=4, k=256, seed=1)
         block_table = ensembles.star_moment_table(block, 4)
-        direct_table = ensembles.star_moment_table(direct, 4)
         assert block_table.keys() == direct_table.keys()
         for word, value in block_table.items():
             assert abs(value - direct_table[word]) <= 0.03, f"word {word}"

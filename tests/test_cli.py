@@ -79,7 +79,7 @@ def test_sample_moments_match_the_library(tmp_path):
     )
     table = ensembles.star_moment_table(a, 4)
     for word, value in table.items():
-        re, im = payload["moments"][str(word)]
+        re, im = payload["moments"][word]
         assert complex(re, im) == pytest.approx(value, abs=1e-12)
 
 

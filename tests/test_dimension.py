@@ -8,12 +8,10 @@ algebraic identities linking their normalized and raw fields.
 
 import math
 
-import numpy as np
 import pytest
 
-from dtlab import dimension, dyson, ensembles, measures
-from dtlab.dimension import MicrostateParams, ScanRow
-from dtlab.errors import ConfigError
+from dtlab import dimension, dyson, measures
+from dtlab.dimension import ScanRow
 
 DELTA0 = measures.CompactMeasure.dirac(0.0)
 
@@ -209,58 +207,6 @@ def test_scan_csv_without_config_has_no_comment(tmp_path):
     assert out.read_text().splitlines() == [
         "eps,delta,bigN,k,f_lb_norm,const_term,delta_hat"
     ]
-
-
-# ----------------------------------------------------------------------------
-# Microstate membership
-
-
-def test_membership_accepts_its_own_moments():
-    g = ensembles.sample_ginibre(32, 1.0 / 32, seed=1)
-    ref = {str(w): v for w, v in ensembles.star_moment_table(g, 2).items()}
-    report = dimension.microstate_membership(
-        g, ref, MicrostateParams(m=2, gamma=0.5, k=32)
-    )
-    assert report.passed
-    assert report.max_deviation == 0.0
-    assert report.order == 2
-
-
-def test_membership_rejects_a_distant_matrix():
-    g = ensembles.sample_ginibre(32, 1.0 / 32, seed=1)
-    ref = {str(w): v for w, v in ensembles.star_moment_table(g, 2).items()}
-    report = dimension.microstate_membership(
-        np.zeros((32, 32), dtype=complex), ref, MicrostateParams(m=2, gamma=0.5, k=32)
-    )
-    assert not report.passed
-    assert report.worst_word == "a*a"
-    assert report.max_deviation == pytest.approx(abs(ref["a*a"]), rel=1e-12)
-
-
-def test_membership_accepts_star_word_keys():
-    g = ensembles.sample_ginibre(16, 1.0 / 16, seed=2)
-    ref = dict(ensembles.star_moment_table(g, 2))
-    report = dimension.microstate_membership(
-        g, ref, MicrostateParams(m=2, gamma=0.1, k=16)
-    )
-    assert report.passed
-
-
-def test_membership_requires_full_word_coverage():
-    g = ensembles.sample_ginibre(16, 1.0 / 16, seed=2)
-    with pytest.raises(ConfigError):
-        dimension.microstate_membership(
-            g, {"a": 0j}, MicrostateParams(m=2, gamma=0.1, k=16)
-        )
-
-
-def test_membership_report_as_dict():
-    g = ensembles.sample_ginibre(16, 1.0 / 16, seed=2)
-    ref = dict(ensembles.star_moment_table(g, 1))
-    d = dimension.microstate_membership(
-        g, ref, MicrostateParams(m=1, gamma=0.2, k=16)
-    ).as_dict()
-    assert set(d) == {"passed", "max_deviation", "worst_word", "order", "gamma"}
 
 
 def test_scan_row_over_the_ceiling_is_a_logged_skip(caplog):

@@ -146,7 +146,7 @@ def test_gamma_rate_frozen_values():
 
 
 # ----------------------------------------------------------------------------
-# Triangular density and its constant
+# Triangular density constant
 
 
 def test_dyson_constant_small_and_large():
@@ -157,29 +157,6 @@ def test_dyson_constant_small_and_large():
     assert dyson.log_dyson_constant(50) == pytest.approx(
         mp_log_dyson_constant(50), rel=1e-9
     )
-
-
-def test_dyson_density_closed_form():
-    b = np.array([[1.0, 0.5], [0.0, 3.0]])
-    assert dyson.log_dyson_density(b) == pytest.approx(2 * math.log(2.0))
-    assert dyson.log_dyson_density(b, include_constant=True) == pytest.approx(
-        2 * math.log(2.0) + dyson.log_dyson_constant(2)
-    )
-
-
-def test_dyson_density_ignores_diagonal_order():
-    up = np.triu(np.ones((3, 3)))
-    a = up * 1.0
-    np.fill_diagonal(a, [0.0, 1.0, 2.5])
-    b = up * 1.0
-    np.fill_diagonal(b, [2.5, 0.0, 1.0])
-    assert dyson.log_dyson_density(a) == pytest.approx(dyson.log_dyson_density(b))
-
-
-def test_dyson_density_edge_cases():
-    assert dyson.log_dyson_density(np.diag([1.0, 1.0])) == -math.inf
-    with pytest.raises(ValueError):
-        dyson.log_dyson_density(np.array([[1.0, 0.0], [0.5, 2.0]]))
 
 
 # ----------------------------------------------------------------------------

@@ -88,35 +88,34 @@ def test_radius_scales_linearly_in_c():
 
 def test_smear_turns_atoms_into_disks():
     mu = measures.parse_measure_spec(["atom:0.5,0,0.5", "atom:-1,1,0.5"])
-    pm = measures.smear_atoms(mu, c=1.0, eps=0.5)
-    parts = list(pm.smeared.components())
-    assert pm.smeared.atom_mass == 0
+    smeared = measures.smear_atoms(mu, c=1.0, eps=0.5)
+    parts = list(smeared.components())
+    assert smeared.atom_mass == 0
     assert len(parts) == 2
-    for (part, mass), radius in zip(parts, pm.radii):
+    for part, mass in parts:
         assert mass == pytest.approx(0.5)
-        assert part.radius == pytest.approx(radius)
-        assert radius == pytest.approx(mp_radius(0.5, 1.0, 0.5), abs=1e-12)
+        assert part.radius == pytest.approx(mp_radius(0.5, 1.0, 0.5), abs=1e-12)
 
 
 def test_smear_preserves_mass_and_mean():
     mu = measures.parse_measure_spec(
         ["atom:2,0,0.25", "atom:-1,-1,0.25", "disk:0,0,1,0.5"]
     )
-    pm = measures.smear_atoms(mu, c=0.8, eps=0.1)
-    total = sum(mass for _, mass in pm.smeared.components())
+    smeared = measures.smear_atoms(mu, c=0.8, eps=0.1)
+    total = sum(mass for _, mass in smeared.components())
     assert total == pytest.approx(1.0, abs=1e-12)
-    assert measures.measure_mean(pm) == pytest.approx(
-        measures.measure_mean(mu), abs=1e-12
-    )
+    # A disk's mean is its center: 0.25 * 2 + 0.25 * (-1 - 1j) + 0.5 * 0.
+    mean = sum(p.mass * p.center for p in smeared.diffuse)
+    assert mean == pytest.approx(0.25 - 0.25j, abs=1e-12)
 
 
 def test_smear_leaves_diffuse_parts_alone():
     mu = CompactMeasure.uniform_disk(0j, 2.0)
-    pm = measures.smear_atoms(mu, c=1.0, eps=0.3)
-    (part, mass), = pm.smeared.components()
+    smeared = measures.smear_atoms(mu, c=1.0, eps=0.3)
+    (part, mass), = smeared.components()
     assert mass == pytest.approx(1.0)
     assert part.radius == pytest.approx(2.0)
-    assert pm.radii == ()
+    assert smeared.diffuse == mu.diffuse
 
 
 # ----------------------------------------------------------------------------
@@ -232,8 +231,7 @@ def test_pair_proximity_extremes():
 def test_sampled_proximity_respects_overlap_bound():
     mu = measures.parse_measure_spec(["atom:0,0,0.5", "disk:0,0,1,0.5"])
     c, eps, delta, n = 1.0, 0.5, 0.1, 2048
-    pm = measures.smear_atoms(mu, c, eps)
-    pts = measures.sample_measure(pm, n, seed=3)
+    pts = measures.sample_measure(measures.smear_atoms(mu, c, eps), n, seed=3)
     bound = measures.overlap_bound(mu, c, eps, delta)
     observed = measures.pair_proximity_mass(pts, delta)
     se = math.sqrt(max(bound, 1e-6) / (n * (n - 1)))
@@ -401,12 +399,6 @@ def test_sample_measure_atoms_in_quantile_mode():
     assert np.allclose(np.sort_complex(pts), [-1, -1, -1, 2, 2, 2])
 
 
-def test_support_radius_covers_all_parts():
-    mu = measures.parse_measure_spec(["atom:2,0,0.5", "disk:0,1,1.5,0.5"])
-    # Disk reaches |i| + 1.5 ~ 2.5, beyond the atom at 2.
-    assert measures.support_radius(mu) == pytest.approx(2.5)
-
-
 # ----------------------------------------------------------------------------
 # Spec grammar
 
@@ -421,15 +413,13 @@ def test_parse_atom_and_disk_round_trip():
 def test_parse_empirical_csv(tmp_path):
     csv_path = tmp_path / "pts.csv"
     csv_path.write_text("# header comment\n0.0,0.0\n1.0,-1.0\n")
-    mu = measures.parse_measure_spec(
-        ["empirical:pts.csv,1"], base_dir=tmp_path
-    )
+    mu = measures.parse_measure_spec([f"empirical:{csv_path},1"])
     (part, mass), = mu.components()
     assert mass == 1.0
     assert np.array_equal(part.points, np.array([0j, 1 - 1j]))
 
 
-def test_parse_rejects_bad_specs(tmp_path):
+def test_parse_rejects_bad_specs():
     for bad in (
         [],
         ["blob:1,2"],
@@ -439,7 +429,7 @@ def test_parse_rejects_bad_specs(tmp_path):
         ["empirical:nope.csv"],
     ):
         with pytest.raises(ValueError):
-            measures.parse_measure_spec(bad, base_dir=tmp_path)
+            measures.parse_measure_spec(bad)
 
 
 def test_masses_must_sum_to_one():
