@@ -15,7 +15,6 @@ the density using LU factorizations only.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -44,20 +43,13 @@ _RADIAL_CURVE_POINTS = 151
 class MicrostatePair:
     """Base sample y and its perturbed companion z = y + eps * P.
 
-    ``perturbation_norm`` is the realized norm2(z - y); ``norm_budget`` is
-    the target scale eps * c it concentrates under (total atom mass 1).
-    ``atom_slices`` gives the contiguous diagonal index range of each atom
-    block in declaration order.
+    ``perturbation_norm`` is the realized norm2(z - y).  It concentrates
+    near eps * c * sqrt(total atom mass), so at most near eps * c.
     """
 
     y: np.ndarray
     z: np.ndarray
-    eps: float
-    c: float
     perturbation_norm: float
-    norm_budget: float
-    atom_slices: tuple[tuple[int, int], ...]
-    empty_perturbation: bool
 
 
 def perturbed_microstate(
@@ -74,20 +66,14 @@ def perturbed_microstate(
     if not (eps > 0):
         raise ValueError(f"eps must be positive, got {eps}")
     y = ensembles.sample_dt(ensembles.DTParams(mu=mu, c=c, k=k, seed=seed))
-    counts = measures.quantile_allocation(mu, k)
-    slices: list[tuple[int, int]] = []
-    pos = 0
-    for i in range(len(mu.atoms)):
-        slices.append((pos, pos + counts[i]))
-        pos += counts[i]
+    counts = measures.quantile_counts([m for _, m in mu.components()], k)
     p = np.zeros((k, k), dtype=np.complex128)
-    for i, ((lo, hi), (_, a)) in enumerate(zip(slices, mu.atoms)):
-        m = hi - lo
-        if m == 0:
-            continue
-        p[lo:hi, lo:hi] = ensembles._ginibre(
+    lo = 0
+    for i, ((_, a), m) in enumerate(zip(mu.atoms, counts)):
+        p[lo : lo + m, lo : lo + m] = ensembles._ginibre(
             substream(seed, 3, i), m, c * c / (a * k)
         )
+        lo += m
     if not mu.atoms:
         warnings.warn(
             "measure has no atoms: perturbation is empty and z equals y",
@@ -97,16 +83,7 @@ def perturbed_microstate(
     z = p
     z *= eps
     z += y
-    return MicrostatePair(
-        y=y,
-        z=z,
-        eps=eps,
-        c=c,
-        perturbation_norm=linalg.norm2(z - y),
-        norm_budget=eps * c,
-        atom_slices=tuple(slices),
-        empty_perturbation=not mu.atoms,
-    )
+    return MicrostatePair(y=y, z=z, perturbation_norm=linalg.norm2(z - y))
 
 
 # ----------------------------------------------------------------------------
@@ -168,16 +145,6 @@ class GridSpec:
     def ys(self) -> np.ndarray:
         return np.linspace(self.ymin, self.ymax, self.ny)
 
-    def as_dict(self) -> dict:
-        return {
-            "xmin": self.xmin,
-            "xmax": self.xmax,
-            "ymin": self.ymin,
-            "ymax": self.ymax,
-            "nx": self.nx,
-            "ny": self.ny,
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class DensityField:
@@ -191,30 +158,9 @@ class DensityField:
     def mass(self) -> float:
         return float(self.values.sum() * self.grid.dx * self.grid.dy)
 
-    def to_csv(self, path, extra_header: dict | None = None) -> None:
-        """Write '# <json header>' then x,y,density rows (row-major in y)."""
-        header = {
-            "grid": self.grid.as_dict(),
-            "delta_reg": self.delta_reg,
-            "mass": self.mass,
-        }
-        if extra_header:
-            header.update(extra_header)
-        xs, ys = self.grid.xs, self.grid.ys
-        with open(path, "w", newline="") as fh:
-            fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
-            fh.write("x,y,density\n")
-            for j, yv in enumerate(ys):
-                for i, xv in enumerate(xs):
-                    fh.write(f"{xv:.10g},{yv:.10g},{self.values[j, i]:.10g}\n")
 
-
-def _logdet_row(xs, y, delta_reg, diag, parts):
+def _logdet_row(xs, y, delta_reg, parts):
     """u on the grid row at height y."""
-    if diag is not None:
-        k = diag.size
-        d = diag[None, :] - (xs + 1j * y)[:, None]
-        return 0.5 * np.log(np.abs(d) ** 2 + delta_reg**2).sum(axis=1) / k
     g, s, kk = parts
     k = g.shape[0]
     # Cell x: (G - y K) - x S + (x^2 + y^2 + delta^2) I.
@@ -235,13 +181,12 @@ def brown_logdet_grid(a: np.ndarray, grid: GridSpec, delta_reg: float) -> Densit
     """Density field from the regularized log-determinant potential.
 
     Evaluates u(z) = log det((a - z)^* (a - z) + delta_reg^2 I) / (2 k) per
-    cell through LU factorizations (diagonal input takes a closed-form path),
-    with each cell's matrix assembled from a* a, a + a* and i (a* - a), which
-    are formed once per call.  Then applies the five-point Laplacian / (2 pi),
-    clipping at zero.  The boundary ring, where the Laplacian is unavailable,
-    is left at zero.  The grid must cover the disk that
-    :meth:`GridSpec.covering` covers, and its spacing may not exceed
-    delta_reg.
+    cell through LU factorizations, with each cell's matrix assembled from
+    a* a, a + a* and i (a* - a), which are formed once per call.  Then
+    applies the five-point Laplacian / (2 pi), clipping at zero.  The
+    boundary ring, where the Laplacian is unavailable, is left at zero.  The
+    grid must cover the disk that :meth:`GridSpec.covering` covers, and its
+    spacing may not exceed delta_reg.
     """
     a = linalg.as_square_matrix(a, "a")
     if not (delta_reg > 0):
@@ -257,16 +202,12 @@ def brown_logdet_grid(a: np.ndarray, grid: GridSpec, delta_reg: float) -> Densit
         raise ConfigError(
             f"grid must cover the disk of radius {bound:.4g} around the origin"
         )
-    d = np.diag(a).copy()
-    diag = d if np.count_nonzero(a - np.diag(d)) == 0 else None
-    parts = None
-    if diag is None:
-        # For w = x + i y, (a - w)* (a - w) = G - x S - y K + |w|^2 I with
-        # G = a* a, S = a + a* and K = i (a* - a).
-        ah = a.conj().T
-        parts = (ah @ a, a + ah, 1j * (ah - a))
+    # For w = x + i y, (a - w)* (a - w) = G - x S - y K + |w|^2 I with
+    # G = a* a, S = a + a* and K = i (a* - a).
+    ah = a.conj().T
+    parts = (ah @ a, a + ah, 1j * (ah - a))
     xs = grid.xs
-    u = np.vstack([_logdet_row(xs, y, delta_reg, diag, parts) for y in grid.ys])
+    u = np.vstack([_logdet_row(xs, y, delta_reg, parts) for y in grid.ys])
     lap = np.zeros_like(u)
     lap[1:-1, 1:-1] = (
         (u[1:-1, 2:] + u[1:-1, :-2] - 2.0 * u[1:-1, 1:-1]) / grid.dx**2

@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -123,32 +124,29 @@ def cmd_brown(args: argparse.Namespace) -> int:
     lam = linalg.eigenvalues(pair.z)
     _write_eigenvalues(out / "eigenvalues.csv", config, lam)
 
-    centers = np.array([z for z, _ in mu.atoms])
+    # smear_atoms puts each atom's disk first among the diffuse parts.
+    disks = measures.smear_atoms(mu, args.c, args.eps).diffuse[: len(mu.atoms)]
     verdicts = {}
     rows = []
-    if centers.size:
-        labels = (
-            np.abs(lam[:, None] - centers[None, :]).argmin(axis=1)
-            if centers.size > 1
-            else np.zeros(lam.size, dtype=int)
-        )
-        for i, (z0, a0) in enumerate(mu.atoms):
-            radius = measures.perturbation_radius(a0, args.c, args.eps)
+    if disks:
+        centers = np.array([d.center for d in disks])
+        labels = np.abs(lam[:, None] - centers[None, :]).argmin(axis=1)
+        for i, disk in enumerate(disks):
             subset = lam[labels == i]
             dist = (
-                brown.radial_cdf_distance(subset, z0, radius)
+                brown.radial_cdf_distance(subset, disk.center, disk.radius)
                 if subset.size
                 else 1.0
             )
             verdicts[f"atom_{i}"] = {
-                "center": _complex_pair(z0),
-                "radius": radius,
+                "center": _complex_pair(disk.center),
+                "radius": disk.radius,
                 "distance": dist,
                 "threshold": args.threshold,
                 "passed": bool(dist <= args.threshold),
             }
             if subset.size:
-                ts, fs = brown.radial_cdf_curve(subset, z0, radius)
+                ts, fs = brown.radial_cdf_curve(subset, disk.center, disk.radius)
                 rows.extend((i, t, f) for t, f in zip(ts, fs))
     with open(out / "radial_cdf.csv", "w", newline="") as fh:
         fh.write(_config_line(config))
@@ -159,15 +157,25 @@ def cmd_brown(args: argparse.Namespace) -> int:
     density_mass = None
     if grid is not None:
         field = brown.brown_logdet_grid(pair.z, grid, args.delta_reg)
-        field.to_csv(out / "density.csv", extra_header={"config": config})
         density_mass = field.mass
+        with open(out / "density.csv", "w", newline="") as fh:
+            fh.write(_config_line({
+                "config": config,
+                "delta_reg": field.delta_reg,
+                "grid": asdict(grid),
+                "mass": density_mass,
+            }))
+            fh.write("x,y,density\n")
+            for yv, row in zip(grid.ys, field.values):
+                for xv, v in zip(grid.xs, row):
+                    fh.write(f"{xv:.10g},{yv:.10g},{v:.10g}\n")
 
     payload = {
         "config": config,
         "disk_law": verdicts,
         "perturbation_norm": pair.perturbation_norm,
-        "norm_budget": pair.norm_budget,
-        "empty_perturbation": pair.empty_perturbation,
+        "norm_budget": args.eps * args.c,
+        "empty_perturbation": not mu.atoms,
         "density_mass": density_mass,
     }
     _write_json(out / "verdict.json", payload)
@@ -205,7 +213,7 @@ def cmd_eeps(args: argparse.Namespace) -> int:
             lower_skip = str(exc)
 
     def record(e: dyson.LogEstimate) -> dict:
-        rec = e.as_dict()
+        rec = asdict(e)
         rec.update({"n": n, "eps": args.eps, "delta": delta})
         return rec
 
@@ -232,8 +240,8 @@ def cmd_eeps(args: argparse.Namespace) -> int:
 
 def cmd_selberg(args: argparse.Namespace) -> int:
     grid = sorted(args.n_grid)
-    if not grid:
-        raise ConfigError("--n-grid is empty")
+    if len(set(grid)) < 2:
+        raise ConfigError("--n-grid needs at least two distinct sizes")
     out = _outdir(args)
     config = _resolved_config(args)
     with open(out / "selberg.csv", "w", newline="") as fh:
@@ -284,7 +292,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         out / "summary.json",
         {
             "config": config,
-            "rows": [r.as_dict() for r in rows],
+            "rows": [asdict(r) for r in rows],
             "first_delta_hat": hats[0],
             "final_delta_hat": hats[-1],
             "non_decreasing_within_slack": bool(non_decreasing),
@@ -326,7 +334,7 @@ def cmd_freeness(args: argparse.Namespace) -> int:
     config = _resolved_config(args)
     family = _build_family(args)
     report = ensembles.freeness_check(family, args.order, args.gamma)
-    _write_json(out / "freeness.json", {"config": config, **report.as_dict()})
+    _write_json(out / "freeness.json", {"config": config, **asdict(report)})
     return 0 if report.passed else 1
 
 

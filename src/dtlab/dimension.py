@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 from scipy.special import gammaln
@@ -109,35 +109,13 @@ class ScanRow:
     chi_offset: float
 
     def __post_init__(self):
-        values = (
-            self.eps,
-            self.delta,
-            self.f_lb_norm,
-            self.const_term,
-            self.delta_hat,
-            self.log_packing_lb,
-            self.chi_offset,
-        )
-        if not all(math.isfinite(v) for v in values):
+        if not all(math.isfinite(v) for v in astuple(self)):
             raise ValueError(f"scan row has non-finite entries: {self}")
         if self.delta_hat > _DELTA_HAT_CEILING:
             raise ValueError(
                 f"delta_hat {self.delta_hat} exceeds the sanity ceiling "
                 f"{_DELTA_HAT_CEILING}"
             )
-
-    def as_dict(self) -> dict:
-        return {
-            "eps": self.eps,
-            "delta": self.delta,
-            "bigN": self.bigN,
-            "k": self.k,
-            "f_lb_norm": self.f_lb_norm,
-            "const_term": self.const_term,
-            "delta_hat": self.delta_hat,
-            "log_packing_lb": self.log_packing_lb,
-            "chi_offset": self.chi_offset,
-        }
 
 
 def dimension_scan(
@@ -204,5 +182,5 @@ def write_scan_csv(rows: list[ScanRow], path, config: dict | None = None) -> Non
             fh.write("# " + json.dumps(config, sort_keys=True) + "\n")
         fh.write(",".join(_SCAN_COLUMNS) + "\n")
         for row in rows:
-            rec = row.as_dict()
+            rec = asdict(row)
             fh.write(",".join(f"{rec[c]:.12g}" for c in _SCAN_COLUMNS) + "\n")

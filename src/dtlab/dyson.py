@@ -57,13 +57,6 @@ class LogEstimate:
         if self.kind == "exact" and self.std_error != 0.0:
             raise ValueError("exact estimates carry no error bar")
 
-    def as_dict(self) -> dict:
-        return {
-            "log_value": self.log_value,
-            "std_error": self.std_error,
-            "kind": self.kind,
-        }
-
 
 @dataclass(frozen=True)
 class SeparationEstimate:
@@ -73,14 +66,6 @@ class SeparationEstimate:
     jensen: LogEstimate
     trials: int
     resampled: int
-
-    def as_dict(self) -> dict:
-        return {
-            "unbiased": self.unbiased.as_dict(),
-            "jensen": self.jensen.as_dict(),
-            "trials": self.trials,
-            "resampled": self.resampled,
-        }
 
 
 def log_dyson_constant(k: int) -> float:

@@ -249,17 +249,6 @@ class FreenessReport:
     products_checked: int
     traces_evaluated: int
 
-    def as_dict(self) -> dict:
-        return {
-            "max_abs_trace": self.max_abs_trace,
-            "worst_product": self.worst_product,
-            "passed": self.passed,
-            "gamma": self.gamma,
-            "order": self.order,
-            "products_checked": self.products_checked,
-            "traces_evaluated": self.traces_evaluated,
-        }
-
 
 def _product_class(product: tuple) -> list[tuple]:
     """Products whose centered trace has the modulus of ``product``'s: its

@@ -68,10 +68,6 @@ class SchurForm:
     q: np.ndarray
     residual: float
 
-    @property
-    def diagonal(self) -> np.ndarray:
-        return np.diag(self.t)
-
 
 def as_square_matrix(a, name: str = "a") -> np.ndarray:
     """Validate and return ``a`` as a square complex128 array."""

@@ -40,7 +40,6 @@ __all__ = [
     "pair_proximity_mass",
     "disk_quantile_points",
     "quantile_counts",
-    "quantile_allocation",
     "parse_measure_spec",
 ]
 
@@ -328,11 +327,6 @@ def quantile_counts(masses, n: int) -> list[int]:
     return base
 
 
-def quantile_allocation(mu: CompactMeasure, n: int) -> list[int]:
-    """Slot counts per component (atoms first) used by quantile sampling."""
-    return quantile_counts([m for _, m in mu.components()], n)
-
-
 def disk_quantile_points(center: complex, radius: float, n: int) -> np.ndarray:
     """Deterministic low-discrepancy points for a uniform disk.
 
@@ -432,6 +426,8 @@ def _load_point_csv(path: Path) -> np.ndarray:
             pts.append(complex(float(row[0]), float(row[1])))
     if not pts:
         raise ValueError(f"{path}: no points found")
+    if not np.isfinite(pts).all():
+        raise ValueError(f"{path}: point values must be finite")
     return np.array(pts)
 
 

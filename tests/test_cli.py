@@ -83,14 +83,35 @@ def test_sample_moments_match_the_library(tmp_path):
         assert complex(re, im) == pytest.approx(value, abs=1e-12)
 
 
-def test_sample_reruns_byte_identical(tmp_path):
-    out = tmp_path / "s"
-    args = ("sample", "--c", 1, "--k", 16, "--seed", 9, "--out", out)
-    assert run(*args) == 0
+def assert_reruns_byte_identical(out, *args):
+    assert run(*args, "--out", out) == 0
     first = {p.name: p.read_bytes() for p in out.iterdir()}
-    assert run(*args) == 0
+    assert first
+    assert run(*args, "--out", out) == 0
     second = {p.name: p.read_bytes() for p in out.iterdir()}
     assert first == second
+
+
+def test_sample_reruns_byte_identical(tmp_path):
+    assert_reruns_byte_identical(
+        tmp_path / "s", "sample", "--c", 1, "--k", 16, "--seed", 9
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["brown", "--k", 48, "--delta-reg", 0.1, "--seed", 3],
+        ["eeps", "--gen-k", 6, "--eps", 0.01, "--delta", 0.2,
+         "--trials", 200, "--seed", 9],
+        ["selberg", "--n-grid", "2,3,8", "--seed", 9],
+        ["scan", "--bigN", 2, "--k", 8, "--eps-grid", "1e-2,1e-3", "--seed", 9],
+        ["freeness", "--k", 16, "--order", 3, "--gamma", 0.5, "--seed", 9],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_subcommand_reruns_byte_identical(tmp_path, argv):
+    assert_reruns_byte_identical(tmp_path / "o", *argv)
 
 
 def per_entry_matrix_csv(config: dict, a: np.ndarray) -> str:
@@ -146,8 +167,14 @@ def test_brown_verdict_and_artifacts(tmp_path):
     assert verdict["density_mass"] == pytest.approx(1.0, abs=0.05)
     _, rows = read_csv_rows(out / "eigenvalues.csv")
     assert len(rows) == 48
-    assert (out / "density.csv").exists()
     assert (out / "radial_cdf.csv").exists()
+    lines = (out / "density.csv").read_text().splitlines()
+    assert lines[0].startswith("# {")
+    header = json.loads(lines[0][2:])
+    assert set(header) == {"config", "delta_reg", "grid", "mass"}
+    assert header["mass"] == verdict["density_mass"]
+    assert lines[1] == "x,y,density"
+    assert len(lines) == 2 + header["grid"]["nx"] * header["grid"]["ny"]
 
 
 def test_brown_no_density_flag(tmp_path):
@@ -195,6 +222,21 @@ def test_eeps_reads_a_points_csv(tmp_path):
     )
     assert code == 0
     assert read_json(out / "eeps.json")["unbiased"]["n"] == 3
+
+
+def test_eeps_refuses_a_non_finite_point(tmp_path, capsys):
+    pts = tmp_path / "pts.csv"
+    pts.write_text("0.1,0.2\nnan,0\n0.0,0.5\n")
+    out = tmp_path / "e"
+    code = run(
+        "eeps", "--points", pts, "--eps", 0.01, "--delta", 0.2,
+        "--trials", 200, "--seed", 1, "--out", out,
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "pts.csv" in err
+    assert not (out / "eeps.json").exists()
 
 
 def test_eeps_skips_the_lower_bound_when_inadmissible(tmp_path):
@@ -355,10 +397,11 @@ def test_abbreviated_config_flag_is_refused(tmp_path, capsys):
         ["selberg", "--n-grid", 0],
         ["brown", "--k", 8, "--delta-reg", 0],
         ["selberg", "--n-grid", ","],
+        ["selberg", "--n-grid", 8],
     ],
     ids=[
         "sample-k", "brown-eps", "freeness-order", "eeps-trials", "selberg-grid",
-        "brown-delta-reg", "selberg-empty-grid",
+        "brown-delta-reg", "selberg-empty-grid", "selberg-one-size",
     ],
 )
 def test_library_precondition_errors_exit_two(tmp_path, capsys, argv):

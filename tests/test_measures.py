@@ -187,9 +187,12 @@ def test_quantile_counts_sum_and_proximity(raw, n):
         assert abs(c - n * mass) < 1.0 + 1e-9
 
 
-def test_quantile_allocation_follows_component_order():
+def test_quantile_sampling_follows_component_order():
+    # Largest remainder gives the atom 2 of 8 slots, placed before the disk's 6.
     mu = measures.parse_measure_spec(["atom:1,0,0.25", "disk:0,0,1,0.75"])
-    assert measures.quantile_allocation(mu, 8) == [2, 6]
+    pts = measures.sample_measure(mu, 8, seed=0)
+    assert np.array_equal(pts[:2], [1, 1])
+    assert np.all(np.abs(pts[2:]) < 1.0)
 
 
 def test_disk_quantile_points_radial_midpoints():
