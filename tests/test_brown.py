@@ -5,13 +5,14 @@ against plain eigenvalue counting on normal matrices, where both answers are
 known in closed form.
 """
 
+import json
 import math
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from dtlab import brown, linalg, measures
+from dtlab import brown, cli, linalg, measures
 from dtlab.brown import DensityField, GridSpec
 from dtlab.errors import ConfigError
 
@@ -216,3 +217,30 @@ def test_grid_must_cover_the_spectrum():
     with pytest.raises(ConfigError):
         brown.brown_logdet_grid(a, GridSpec.square(0.2, 64), delta_reg=0.05)
 
+
+
+def test_density_field_csv_layout(tmp_path):
+    # The brown subcommand writes the field row by row (y outer, x inner),
+    # under a JSON header line and an x,y,density column line.
+    out = tmp_path / "b"
+    args = ["brown", "--mu", "atom:0,0,1", "--c", "1", "--eps", "0.5",
+            "--k", "48", "--delta-reg", "0.25", "--seed", "3",
+            "--out", str(out)]
+    assert cli.main(args) == 0
+    lines = (out / "density.csv").read_text().splitlines()
+    assert lines[0].startswith("# {")
+    header = json.loads(lines[0][2:])
+    assert header["delta_reg"] == 0.25
+    assert lines[1] == "x,y,density"
+    grid = GridSpec(**header["grid"])
+    assert len(lines) == 2 + grid.nx * grid.ny
+
+    mu = measures.parse_measure_spec(["atom:0,0,1"])
+    pair = brown.perturbed_microstate(mu, c=1.0, eps=0.5, k=48, seed=3)
+    field = brown.brown_logdet_grid(pair.z, grid, delta_reg=0.25)
+    table = np.array([[float(v) for v in ln.split(",")] for ln in lines[2:]])
+    xx, yy = np.meshgrid(grid.xs, grid.ys)
+    assert np.allclose(table[:, 0], xx.ravel(), rtol=1e-9, atol=0)
+    assert np.allclose(table[:, 1], yy.ravel(), rtol=1e-9, atol=0)
+    assert np.allclose(table[:, 2], field.values.ravel(), rtol=1e-9, atol=1e-12)
+    assert header["mass"] == pytest.approx(field.mass, rel=1e-12)
