@@ -29,14 +29,20 @@ from .rng import derive_seed
 _LIMIT_NEG2LOG2 = -2.0 * math.log(2.0)
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def _write_csv(path: Path, config: dict, header: str, lines) -> None:
+    """The one CSV layout: a '# <json>' line, the column line, then ``lines``,
+    each rendered with its newline.  Creates the directory on the first file."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        fh.write("# " + json.dumps(config, sort_keys=True) + "\n" + header + "\n")
+        fh.writelines(lines)
+
+
+def _write_json(path: Path, config: dict, payload: dict) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump({"config": config, **payload}, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _config_line(config: dict) -> str:
-    return "# " + json.dumps(config, sort_keys=True) + "\n"
 
 
 def _complex_pair(z: complex) -> list[float]:
@@ -44,13 +50,7 @@ def _complex_pair(z: complex) -> list[float]:
 
 
 def _resolved_config(args: argparse.Namespace) -> dict:
-    skip = {"func"}
-    out = {}
-    for key, value in sorted(vars(args).items()):
-        if key in skip:
-            continue
-        out[key] = value if not isinstance(value, Path) else str(value)
-    return out
+    return {key: value for key, value in vars(args).items() if key != "func"}
 
 
 def _parse_mu(args: argparse.Namespace) -> measures.CompactMeasure:
@@ -61,39 +61,24 @@ def _parse_mu(args: argparse.Namespace) -> measures.CompactMeasure:
         raise ConfigError(str(exc)) from exc
 
 
-def _outdir(args: argparse.Namespace) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _eigenvalue_lines(lam: np.ndarray):
+    return (f"{re!r},{im!r}\n" for re, im in zip(lam.real.tolist(), lam.imag.tolist()))
 
 
-def _write_eigenvalues(path: Path, config: dict, lam: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(_config_line(config))
-        fh.write("re,im\n")
-        for z in lam:
-            fh.write(f"{float(z.real)!r},{float(z.imag)!r}\n")
-
-
-def _write_matrix(path: Path, config: dict, a: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(_config_line(config))
-        fh.write("i,j,re,im\n")
-        for i, (re_row, im_row) in enumerate(zip(a.real.tolist(), a.imag.tolist())):
-            fh.write("".join([
-                f"{i},{j},{re!r},{im!r}\n"
-                for j, (re, im) in enumerate(zip(re_row, im_row))
-            ]))
+def _matrix_lines(a: np.ndarray):
+    """One string per row of a: its 'i,j,re,im' lines, joined once."""
+    for i, (re_row, im_row) in enumerate(zip(a.real.tolist(), a.imag.tolist())):
+        yield "".join([
+            f"{i},{j},{re!r},{im!r}\n" for j, (re, im) in enumerate(zip(re_row, im_row))
+        ])
 
 
 # ----------------------------------------------------------------------------
 # Subcommands
 
 
-def cmd_sample(args: argparse.Namespace) -> int:
+def cmd_sample(args: argparse.Namespace, out: Path, config: dict) -> int:
     mu = _parse_mu(args)
-    out = _outdir(args)
-    config = _resolved_config(args)
     if args.block:
         a = ensembles.assemble_block_dt(mu, args.c, args.block, args.k, args.seed)
     else:
@@ -101,33 +86,26 @@ def cmd_sample(args: argparse.Namespace) -> int:
             ensembles.DTParams(mu=mu, c=args.c, k=args.k, seed=args.seed),
             mode=args.mode,
         )
-    _write_matrix(out / "matrix.csv", config, a)
     lam = linalg.eigenvalues(a)
-    _write_eigenvalues(out / "eigenvalues.csv", config, lam)
     table = ensembles.star_moment_table(a, args.moment_order)
-    _write_json(
-        out / "moments.json",
-        {
-            "config": config,
-            "moments": {w: _complex_pair(v) for w, v in table.items()},
-        },
-    )
+    _write_csv(out / "matrix.csv", config, "i,j,re,im", _matrix_lines(a))
+    _write_csv(out / "eigenvalues.csv", config, "re,im", _eigenvalue_lines(lam))
+    moments = {w: _complex_pair(v) for w, v in table.items()}
+    _write_json(out / "moments.json", config, {"moments": moments})
     return 0
 
 
-def cmd_brown(args: argparse.Namespace) -> int:
+def cmd_brown(args: argparse.Namespace, out: Path, config: dict) -> int:
     mu = _parse_mu(args)
-    out = _outdir(args)
-    config = _resolved_config(args)
     pair = brown.perturbed_microstate(mu, args.c, args.eps, args.k, args.seed)
     grid = brown.GridSpec.covering(pair.z, args.delta_reg) if args.density else None
     lam = linalg.eigenvalues(pair.z)
-    _write_eigenvalues(out / "eigenvalues.csv", config, lam)
+    _write_csv(out / "eigenvalues.csv", config, "re,im", _eigenvalue_lines(lam))
 
     # smear_atoms puts each atom's disk first among the diffuse parts.
     disks = measures.smear_atoms(mu, args.c, args.eps).diffuse[: len(mu.atoms)]
     verdicts = {}
-    rows = []
+    lines = []
     if disks:
         centers = np.array([d.center for d in disks])
         labels = np.abs(lam[:, None] - centers[None, :]).argmin(axis=1)
@@ -147,44 +125,39 @@ def cmd_brown(args: argparse.Namespace) -> int:
             }
             if subset.size:
                 ts, fs = brown.radial_cdf_curve(subset, disk.center, disk.radius)
-                rows.extend((i, t, f) for t, f in zip(ts, fs))
-    with open(out / "radial_cdf.csv", "w", newline="") as fh:
-        fh.write(_config_line(config))
-        fh.write("atom,t,cdf\n")
-        for i, t, f in rows:
-            fh.write(f"{i},{float(t)!r},{float(f)!r}\n")
+                lines.extend(
+                    f"{i},{t!r},{f!r}\n" for t, f in zip(ts.tolist(), fs.tolist())
+                )
+    _write_csv(out / "radial_cdf.csv", config, "atom,t,cdf", lines)
 
     density_mass = None
     if grid is not None:
         field = brown.brown_logdet_grid(pair.z, grid, args.delta_reg)
         density_mass = field.mass
-        with open(out / "density.csv", "w", newline="") as fh:
-            fh.write(_config_line({
-                "config": config,
-                "delta_reg": field.delta_reg,
-                "grid": asdict(grid),
-                "mass": density_mass,
-            }))
-            fh.write("x,y,density\n")
-            for yv, row in zip(grid.ys, field.values):
-                for xv, v in zip(grid.xs, row):
-                    fh.write(f"{xv:.10g},{yv:.10g},{v:.10g}\n")
+        header = {
+            "config": config,
+            "delta_reg": field.delta_reg,
+            "grid": asdict(grid),
+            "mass": density_mass,
+        }
+        _write_csv(out / "density.csv", header, "x,y,density", (
+            f"{xv:.10g},{yv:.10g},{v:.10g}\n"
+            for yv, row in zip(grid.ys, field.values)
+            for xv, v in zip(grid.xs, row)
+        ))
 
     payload = {
-        "config": config,
         "disk_law": verdicts,
         "perturbation_norm": pair.perturbation_norm,
         "norm_budget": args.eps * args.c,
         "empty_perturbation": not mu.atoms,
         "density_mass": density_mass,
     }
-    _write_json(out / "verdict.json", payload)
+    _write_json(out / "verdict.json", config, payload)
     return 0 if all(v["passed"] for v in verdicts.values()) else 1
 
 
-def cmd_eeps(args: argparse.Namespace) -> int:
-    out = _outdir(args)
-    config = _resolved_config(args)
+def cmd_eeps(args: argparse.Namespace, out: Path, config: dict) -> int:
     if args.points and args.gen_k:
         raise ConfigError("give either --points or --gen-k, not both")
     if args.points:
@@ -198,19 +171,13 @@ def cmd_eeps(args: argparse.Namespace) -> int:
     n = pts.size
     est = dyson.log_separation_integral_mc(pts, args.eps, args.trials, args.seed)
 
-    delta = args.delta
-    lower = None
-    lower_skip = None
-    if delta is None:
-        try:
+    delta, lower, lower_skip = args.delta, None, None
+    try:
+        if delta is None:
             delta = dyson.delta_schedule(args.eps)
-        except ConfigError as exc:
-            lower_skip = str(exc)
-    if delta is not None and n >= 2:
-        try:
-            lower = dyson.separation_integral_lower_bound(pts, args.eps, delta)
-        except ConfigError as exc:
-            lower_skip = str(exc)
+        lower = dyson.separation_integral_lower_bound(pts, args.eps, delta)
+    except ValueError as exc:
+        lower_skip = str(exc)
 
     def record(e: dyson.LogEstimate) -> dict:
         rec = asdict(e)
@@ -225,7 +192,6 @@ def cmd_eeps(args: argparse.Namespace) -> int:
             est.jensen.std_error + 1e-9
         )
     payload = {
-        "config": config,
         "unbiased": record(est.unbiased),
         "jensen": record(est.jensen),
         "lower_bound": record(lower) if lower is not None else None,
@@ -234,32 +200,29 @@ def cmd_eeps(args: argparse.Namespace) -> int:
         "resampled": est.resampled,
         "ordering_ok": bool(ordering_ok),
     }
-    _write_json(out / "eeps.json", payload)
+    _write_json(out / "eeps.json", config, payload)
     return 0 if ordering_ok else 1
 
 
-def cmd_selberg(args: argparse.Namespace) -> int:
-    grid = sorted(args.n_grid)
-    if len(set(grid)) < 2:
+def cmd_selberg(args: argparse.Namespace, out: Path, config: dict) -> int:
+    grid = sorted(set(args.n_grid))
+    if len(grid) < 2:
         raise ConfigError("--n-grid needs at least two distinct sizes")
-    out = _outdir(args)
-    config = _resolved_config(args)
-    with open(out / "selberg.csv", "w", newline="") as fh:
-        fh.write(_config_line(config))
-        fh.write("n,log_box_integral,rate,rate_minus_limit\n")
-        rates = {}
-        for n in grid:
-            box = dyson.log_selberg_box_integral(n, args.eps).log_value
-            rate = dyson.gamma_product_rate(n)
-            rates[n] = rate
-            fh.write(f"{n},{box!r},{rate!r},{rate - _LIMIT_NEG2LOG2!r}\n")
+    rates, lines = {}, []
+    for n in grid:
+        box = dyson.log_selberg_box_integral(n, args.eps).log_value
+        rates[n] = rate = dyson.gamma_product_rate(n)
+        lines.append(f"{n},{box!r},{rate!r},{rate - _LIMIT_NEG2LOG2!r}\n")
     converged = abs(rates[grid[-1]] - _LIMIT_NEG2LOG2) < abs(
         rates[grid[0]] - _LIMIT_NEG2LOG2
     )
+    _write_csv(
+        out / "selberg.csv", config, "n,log_box_integral,rate,rate_minus_limit", lines
+    )
     _write_json(
         out / "selberg.json",
+        config,
         {
-            "config": config,
             "limit": _LIMIT_NEG2LOG2,
             "final_rate": rates[grid[-1]],
             "converging": bool(converged),
@@ -268,10 +231,8 @@ def cmd_selberg(args: argparse.Namespace) -> int:
     return 0 if converged else 1
 
 
-def cmd_scan(args: argparse.Namespace) -> int:
+def cmd_scan(args: argparse.Namespace, out: Path, config: dict) -> int:
     mu = _parse_mu(args)
-    out = _outdir(args)
-    config = _resolved_config(args)
     rows = dimension.dimension_scan(
         mu,
         args.c,
@@ -283,6 +244,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     )
     if not rows:
         raise ConfigError("no admissible eps in the grid; nothing to scan")
+    out.mkdir(parents=True, exist_ok=True)
     dimension.write_scan_csv(rows, out / "scan.csv", config)
     hats = [r.delta_hat for r in rows]
     slack = 0.05
@@ -290,8 +252,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
     trend_ok = non_decreasing and hats[-1] > hats[0]
     _write_json(
         out / "summary.json",
+        config,
         {
-            "config": config,
             "rows": [asdict(r) for r in rows],
             "first_delta_hat": hats[0],
             "final_delta_hat": hats[-1],
@@ -329,12 +291,10 @@ def _build_family(args: argparse.Namespace) -> list[np.ndarray]:
     return family
 
 
-def cmd_freeness(args: argparse.Namespace) -> int:
-    out = _outdir(args)
-    config = _resolved_config(args)
+def cmd_freeness(args: argparse.Namespace, out: Path, config: dict) -> int:
     family = _build_family(args)
     report = ensembles.freeness_check(family, args.order, args.gamma)
-    _write_json(out / "freeness.json", {"config": config, **asdict(report)})
+    _write_json(out / "freeness.json", config, asdict(report))
     return 0 if report.passed else 1
 
 
@@ -364,11 +324,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="key=value file; entries become flags, command line wins",
     )
 
-    mu_help = (
-        "measure component, repeatable: 'atom:re,im,mass', "
+    model = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    model.add_argument(
+        "--mu",
+        action="append",
+        help="measure component, repeatable: 'atom:re,im,mass', "
         "'disk:re,im,radius,mass', 'empirical:csv,mass' "
-        "(space-separated fields also accepted); default atom:0,0,1"
+        "(space-separated fields also accepted); default atom:0,0,1",
     )
+    model.add_argument("--c", type=float, default=1.0)
 
     parser = argparse.ArgumentParser(
         prog="dtlab",
@@ -378,23 +342,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, summary: str) -> argparse.ArgumentParser:
+    def add(name: str, summary: str, *parents) -> argparse.ArgumentParser:
         return sub.add_parser(
-            name, parents=[common], allow_abbrev=False, help=summary
+            name, parents=[common, *parents], allow_abbrev=False, help=summary
         )
 
-    p = add("sample", "sample a model, write matrix/spectrum/moments")
-    p.add_argument("--mu", action="append", help=mu_help)
-    p.add_argument("--c", type=float, default=1.0)
+    p = add("sample", "sample a model, write matrix/spectrum/moments", model)
     p.add_argument("--k", type=int, default=256)
     p.add_argument("--block", type=int, default=0, help="block count (block model)")
     p.add_argument("--mode", choices=("quantile", "iid"), default="quantile")
     p.add_argument("--moment-order", type=int, default=4)
     p.set_defaults(func=cmd_sample)
 
-    p = add("brown", "perturbed microstate and its spectral cloud")
-    p.add_argument("--mu", action="append", help=mu_help)
-    p.add_argument("--c", type=float, default=1.0)
+    p = add("brown", "perturbed microstate and its spectral cloud", model)
     p.add_argument("--eps", type=float, default=0.5)
     p.add_argument("--k", type=int, default=256)
     p.add_argument("--delta-reg", type=float, default=0.2)
@@ -407,9 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_brown)
 
-    p = add("eeps", "separation-integral estimators on a point set")
-    p.add_argument("--mu", action="append", help=mu_help)
-    p.add_argument("--c", type=float, default=1.0)
+    p = add("eeps", "separation-integral estimators on a point set", model)
     p.add_argument("--points", default=None, help="CSV of re,im rows")
     p.add_argument("--gen-k", type=int, default=0, help="generate points at this size")
     p.add_argument("--eps", type=float, default=1e-3)
@@ -424,9 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=1.0)
     p.set_defaults(func=cmd_selberg)
 
-    p = add("scan", "dimension lower-bound scan over eps")
-    p.add_argument("--mu", action="append", help=mu_help)
-    p.add_argument("--c", type=float, default=1.0)
+    p = add("scan", "dimension lower-bound scan over eps", model)
     p.add_argument("--bigN", type=int, default=8)
     p.add_argument("--k", type=int, default=128)
     p.add_argument(
@@ -437,9 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chi-offset", type=float, default=0.0)
     p.set_defaults(func=cmd_scan)
 
-    p = add("freeness", "alternating-moment freeness report")
-    p.add_argument("--mu", action="append", help=mu_help)
-    p.add_argument("--c", type=float, default=1.0)
+    p = add("freeness", "alternating-moment freeness report", model)
     p.add_argument("--k", type=int, default=512)
     p.add_argument(
         "--members",
@@ -488,7 +442,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         argv = _inject_config_file(argv)
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        return args.func(args, Path(args.out), _resolved_config(args))
     except (ValueError, OSError) as exc:
         # ConfigError is a ValueError; a library ValueError is a violated
         # precondition of the requested run, so both are configuration errors.

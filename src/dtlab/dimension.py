@@ -175,11 +175,10 @@ def dimension_scan(
 _SCAN_COLUMNS = ("eps", "delta", "bigN", "k", "f_lb_norm", "const_term", "delta_hat")
 
 
-def write_scan_csv(rows: list[ScanRow], path, config: dict | None = None) -> None:
+def write_scan_csv(rows: list[ScanRow], path, config: dict) -> None:
     """Scan table as CSV; a '#'-prefixed JSON line records the resolved config."""
     with open(path, "w", newline="") as fh:
-        if config is not None:
-            fh.write("# " + json.dumps(config, sort_keys=True) + "\n")
+        fh.write("# " + json.dumps(config, sort_keys=True) + "\n")
         fh.write(",".join(_SCAN_COLUMNS) + "\n")
         for row in rows:
             rec = asdict(row)

@@ -132,7 +132,7 @@ def test_matrix_writer_matches_the_per_entry_writer(tmp_path):
     a[3, 4] = complex(1e16, 1e-5)
     a[8, 8] = complex(-1e16, 0.0)
     config = {"k": 9, "seed": 2}
-    cli._write_matrix(tmp_path / "m.csv", config, a)
+    cli._write_csv(tmp_path / "m.csv", config, "i,j,re,im", cli._matrix_lines(a))
     assert (tmp_path / "m.csv").read_text() == per_entry_matrix_csv(config, a)
 
 
@@ -251,6 +251,23 @@ def test_eeps_skips_the_lower_bound_when_inadmissible(tmp_path):
     assert "3*eps" in payload["lower_bound_skipped"]
 
 
+def test_eeps_on_one_point_records_why_the_bound_is_skipped(tmp_path):
+    pts = tmp_path / "pts.csv"
+    pts.write_text("0.1,0.2\n")
+    out = tmp_path / "e"
+    code = run(
+        "eeps", "--points", pts, "--eps", 0.01, "--delta", 0.2,
+        "--trials", 200, "--seed", 1, "--out", out,
+    )
+    assert code == 0
+    payload = read_json(out / "eeps.json")
+    assert payload["unbiased"]["n"] == 1
+    assert payload["lower_bound"] is None
+    with pytest.raises(ValueError) as exc:
+        dyson.separation_integral_lower_bound([0.1 + 0.2j], 0.01, 0.2)
+    assert payload["lower_bound_skipped"] == str(exc.value)
+
+
 # ----------------------------------------------------------------------------
 # selberg
 
@@ -277,6 +294,19 @@ def test_selberg_table_and_verdict(tmp_path):
     assert payload["final_rate"] == pytest.approx(
         dyson.gamma_product_rate(64), abs=1e-12
     )
+
+
+def test_selberg_writes_each_distinct_size_once(tmp_path):
+    assert run(
+        "selberg", "--n-grid", "8,2,2", "--seed", 1, "--out", tmp_path / "dup"
+    ) == 0
+    assert run(
+        "selberg", "--n-grid", "2,8", "--seed", 1, "--out", tmp_path / "once"
+    ) == 0
+    _, dup = read_csv_rows(tmp_path / "dup" / "selberg.csv")
+    _, once = read_csv_rows(tmp_path / "once" / "selberg.csv")
+    assert [int(row.split(",")[0]) for row in dup] == [2, 8]
+    assert dup == once
 
 
 # ----------------------------------------------------------------------------
@@ -398,16 +428,23 @@ def test_abbreviated_config_flag_is_refused(tmp_path, capsys):
         ["brown", "--k", 8, "--delta-reg", 0],
         ["selberg", "--n-grid", ","],
         ["selberg", "--n-grid", 8],
+        ["scan", "--k", 8, "--bigN", 2, "--eps-grid", 0.5],
+        ["eeps", "--points", "pts.csv", "--gen-k", 4],
+        ["sample", "--k", 8, "--moment-order", 0],
     ],
     ids=[
         "sample-k", "brown-eps", "freeness-order", "eeps-trials", "selberg-grid",
         "brown-delta-reg", "selberg-empty-grid", "selberg-one-size",
+        "scan-no-admissible-eps", "eeps-points-and-gen-k", "sample-moment-order",
     ],
 )
 def test_library_precondition_errors_exit_two(tmp_path, capsys, argv):
-    assert run(*argv, "--seed", 1, "--out", tmp_path / "o") == 2
+    # A refused run writes nothing, not even the --out directory.
+    out = tmp_path / "o"
+    assert run(*argv, "--seed", 1, "--out", out) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_bad_measure_spec_exits_two(tmp_path, capsys):

@@ -201,14 +201,6 @@ def test_scan_csv_layout(tmp_path):
     assert float(first[6]) == pytest.approx(rows[0].delta_hat, rel=1e-9)
 
 
-def test_scan_csv_without_config_has_no_comment(tmp_path):
-    out = tmp_path / "scan.csv"
-    dimension.write_scan_csv([], out)
-    assert out.read_text().splitlines() == [
-        "eps,delta,bigN,k,f_lb_norm,const_term,delta_hat"
-    ]
-
-
 def test_scan_row_over_the_ceiling_is_a_logged_skip(caplog):
     with caplog.at_level("WARNING", logger="dtlab.dimension"):
         rows = dimension.dimension_scan(
