@@ -7,8 +7,12 @@ reduction to Hessenberg form, then the small-bulge multishift QR algorithm
 with aggressive early deflation of Braman, Byers and Mathias (SIAM J. Matrix
 Anal. Appl. 23(4), 2002), the design of LAPACK's xLAQR0.  Small blocks, and
 the deflation windows themselves, are finished by explicitly shifted
-single-shift QR with Wilkinson shifts.  The LU-based log-determinant is the
-deliberately separate second route used by the density-field estimator.
+single-shift QR with Wilkinson shifts.  Shifts, deflation and the bulge
+chase are written here; from LAPACK only the plane-rotation auxiliaries
+``zlartg`` (generate) and ``zrot`` (apply) are called, in single-shift QR
+and in the swaps of the deflation windows, and no LAPACK eigenvalue or
+Schur routine is.  The LU-based log-determinant is the deliberately
+separate second route used by the density-field estimator.
 
 Intended scale is dense matrices up to a couple thousand rows in double
 precision.
@@ -20,6 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import zlartg, zrot
 
 __all__ = [
     "ConvergenceError",
@@ -232,18 +237,6 @@ def _wilkinson_shift(h: np.ndarray, hi: int) -> complex:
     return complex(lam1 if abs(lam1 - d) <= abs(lam2 - d) else lam2)
 
 
-def _givens(f: complex, g: complex) -> tuple[float, complex]:
-    """c, s with [[c, s], [-conj(s), c]] @ [f, g] = [r, 0] and c real."""
-    ag = abs(g)
-    if ag == 0.0:
-        return 1.0, 0j
-    af = abs(f)
-    r = math.hypot(af, ag)
-    if af == 0.0:
-        return 0.0, g.conjugate() / r
-    return af / r, (f / af) * (g.conjugate() / r)
-
-
 def _span(h: np.ndarray, q: np.ndarray | None, lo: int, hi: int) -> tuple[int, int]:
     """First row and end column of h that a similarity on the active block
     [lo, hi) must reach: all of h when q is kept, so that a = q h q* holds
@@ -251,52 +244,54 @@ def _span(h: np.ndarray, q: np.ndarray | None, lo: int, hi: int) -> tuple[int, i
     return (lo, hi) if q is None else (0, h.shape[0])
 
 
+def _rotate_rows(flat, n, i, c0, c1, c, s) -> None:
+    """Left-multiply rows i, i + 1, columns [c0, c1) of a C-contiguous n x n
+    matrix, given as its flat buffer, by [[c, s], [-conj(s), c]] in place."""
+    zrot(flat, flat, c, s, c1 - c0, i * n + c0, 1, (i + 1) * n + c0, 1, 1, 1)
+
+
+def _rotate_columns(flat, n, r0, r1, j, c, s) -> None:
+    """Right-multiply columns j, j + 1, rows [r0, r1) of a C-contiguous n x n
+    matrix, given as its flat buffer, by [[c, -conj(s)], [s, c]] in place."""
+    zrot(flat, flat, c, s, r1 - r0, r0 * n + j, n, r0 * n + j + 1, n, 1, 1)
+
+
 def _qr_sweep(
     h: np.ndarray, q: np.ndarray | None, lo: int, hi: int, shift: complex
 ) -> None:
     """One explicit shifted QR similarity step on the active block [lo, hi).
 
-    Row rotations reduce h - shift*I to triangular form; the column rotation
-    at i is applied as soon as the row rotation at i + 1 has finished row
-    i + 1, the last row it reaches.
+    Row rotations from LAPACK's ``zlartg`` reduce h - shift*I to triangular
+    form; ``zrot`` applies each to two rows of h, and its adjoint to two
+    columns of h and of q.  The column rotation at i is applied as soon as
+    the row rotation at i + 1 has finished row i + 1, the last row it
+    reaches.
     """
     n = h.shape[0]
     row_start, col_end = _span(h, q, lo, hi)
-    diag = h.reshape(-1)[lo * (n + 1) : (hi - 1) * (n + 1) + 1 : n + 1]
+    flat = h.reshape(-1)
+    qflat = None if q is None else q.reshape(-1)
+    diag = flat[lo * (n + 1) : (hi - 1) * (n + 1) + 1 : n + 1]
     diag -= shift
     item = h.item
-    # Row rotations and the adjoints waiting for their columns, in two
-    # alternating slots so that the pending one survives the next row step.
-    rots = np.empty((2, 2, 2), dtype=np.complex128)
-    adjs = np.empty((2, 2, 2), dtype=np.complex128)
+    # (c, conj(s)) of the last row rotation, whose columns are still to do.
     pending = None
     for i in range(lo, hi - 1):
-        c, s = _givens(item(i, i), item(i + 1, i))
+        c, s, _ = zlartg(item(i, i), item(i + 1, i))
         adj = None
         if s != 0.0:
-            rot = rots[i & 1]
-            adj = adjs[i & 1]
-            sc = s.conjugate()
-            rot[0, 0] = rot[1, 1] = adj[0, 0] = adj[1, 1] = c
-            rot[0, 1] = s
-            rot[1, 0] = -sc
-            adj[0, 1] = -s
-            adj[1, 0] = sc
-            h[i : i + 2, i:col_end] = rot @ h[i : i + 2, i:col_end]
+            _rotate_rows(flat, n, i, i, col_end, c, s)
             h[i + 1, i] = 0.0
+            adj = c, s.conjugate()
         if pending is not None:
-            cols = h[row_start : i + 1, i - 1 : i + 1]
-            cols[...] = cols @ pending
-            if q is not None:
-                cols = q[:, i - 1 : i + 1]
-                cols[...] = cols @ pending
+            _rotate_columns(flat, n, row_start, i + 1, i - 1, *pending)
+            if qflat is not None:
+                _rotate_columns(qflat, n, 0, n, i - 1, *pending)
         pending = adj
     if pending is not None:
-        cols = h[row_start:hi, hi - 2 : hi]
-        cols[...] = cols @ pending
-        if q is not None:
-            cols = q[:, hi - 2 : hi]
-            cols[...] = cols @ pending
+        _rotate_columns(flat, n, row_start, hi, hi - 2, *pending)
+        if qflat is not None:
+            _rotate_columns(qflat, n, 0, n, hi - 2, *pending)
     diag += shift
 
 
@@ -376,16 +371,18 @@ def _solve_block(h, q, lo, hi) -> None:
 def _swap_up(t: np.ndarray, v: np.ndarray, j: int, i: int) -> None:
     """Move t[j, j] of the upper triangular t up to position i by adjacent
     unitary swaps, accumulating them into v."""
+    n = t.shape[0]
+    flat = t.reshape(-1)
+    vflat = v.reshape(-1)
     for k in range(j - 1, i - 1, -1):
         t11 = t[k, k]
         t22 = t[k + 1, k + 1]
-        c, s = _givens(complex(t[k, k + 1]), complex(t22 - t11))
-        rot = np.array([[c, s], [-s.conjugate(), c]])
-        t[k : k + 2, k + 2 :] = rot @ t[k : k + 2, k + 2 :]
-        cols = t[:k, k : k + 2].T
-        cols[...] = rot.conj() @ cols
-        cols = v[:, k : k + 2].T
-        cols[...] = rot.conj() @ cols
+        c, s, _ = zlartg(t.item(k, k + 1), t22 - t11)
+        if k + 2 < n:
+            _rotate_rows(flat, n, k, k + 2, n, c, s)
+        s = s.conjugate()
+        _rotate_columns(flat, n, 0, k, k, c, s)
+        _rotate_columns(vflat, n, 0, n, k, c, s)
         t[k, k] = t22
         t[k + 1, k + 1] = t11
 
@@ -534,6 +531,12 @@ def _triangularize(h: np.ndarray, q: np.ndarray | None) -> None:
     most ``_CHAIN`` bulges, whose shifts are the eigenvalues the deflation
     window did not deflate.
     """
+    # zrot works on the flat buffers in place; f2py would silently rotate a
+    # copy of any other layout or dtype.
+    for m in (h, q):
+        assert m is None or (
+            m.dtype == np.complex128 and m.flags.c_contiguous and m.shape == h.shape
+        )
     n = h.shape[0]
     anorm = float(np.linalg.norm(h))
     if anorm == 0.0 or n == 1:
@@ -577,7 +580,9 @@ def schur(a) -> SchurForm:
     Householder Hessenberg reduction, then multishift QR with aggressive
     early deflation; active blocks below ``_MULTISHIFT_MIN`` rows and the
     deflation windows are finished by single-shift QR with Wilkinson shifts
-    and exceptional shifts on stall.  Deflation is relative-threshold.
+    and exceptional shifts on stall, whose rotations LAPACK's ``zlartg`` and
+    ``zrot`` generate and apply.  No LAPACK eigensolver is called.
+    Deflation is relative-threshold.
     Raises :class:`ConvergenceError` when a QR phase spends more than 30
     shifts per dimension of the matrix it works on (a single-shift sweep
     spends one shift, a multishift sweep one per bulge).

@@ -228,16 +228,26 @@ def _cloud_disk_pair_prob(
     return float(lens.mean() / (math.pi * radius * radius))
 
 
+def _weighted_tree(z: np.ndarray) -> tuple[cKDTree, np.ndarray]:
+    """k-d tree over the distinct points of z, and their multiplicities."""
+    u, counts = np.unique(z, return_counts=True)
+    return cKDTree(np.column_stack((u.real, u.imag))), counts.astype(float)
+
+
 def _close_pairs(a: np.ndarray, b: np.ndarray, delta: float) -> int:
     """Number of ordered pairs (i, j) with |a_i - b_j| < delta.
 
-    The trees count distances <= r, so r is the largest double below delta.
-    They compare squared distances, so only a pair within a few ulps of
-    delta can be decided differently from ``abs(a_i - b_j) < delta``.
+    The trees hold distinct points, and each pair of them counts the
+    product of their multiplicities: a sum of integers below 2**53, so
+    exact in floating point.  The trees count distances <= r, so r is the
+    largest double below delta.  They compare squared distances, so only a
+    pair within a few ulps of delta can be decided differently from
+    ``abs(a_i - b_j) < delta``.
     """
-    tree_a = cKDTree(np.column_stack((a.real, a.imag)))
-    tree_b = tree_a if b is a else cKDTree(np.column_stack((b.real, b.imag)))
-    return int(tree_a.count_neighbors(tree_b, np.nextafter(delta, 0.0)))
+    tree_a, wa = _weighted_tree(a)
+    tree_b, wb = (tree_a, wa) if b is a else _weighted_tree(b)
+    r = np.nextafter(delta, 0.0)
+    return int(tree_a.count_neighbors(tree_b, r, weights=(wa, wb)))
 
 
 def _cloud_cloud_pair_prob(

@@ -8,6 +8,10 @@ by an optimal assignment.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -350,3 +354,123 @@ def test_multishift_is_deterministic_across_calls(n):
     assert s1.t.tobytes() == s2.t.tobytes()
     assert s1.q.tobytes() == s2.q.tobytes()
     assert linalg.eigenvalues(a).tobytes() == linalg.eigenvalues(a).tobytes()
+
+
+# ----------------------------------------------------------------------------
+# Structured inputs at random sizes, and thread-count independence
+
+
+def _jordan(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Up to four Jordan blocks on shared eigenvalues, with their ones on the
+    sub-diagonal (Hessenberg form) or hidden by a unitary similarity."""
+    j = np.zeros((n, n), dtype=np.complex128)
+    ncuts = rng.integers(0, min(n - 1, 3) + 1)
+    cuts = np.sort(rng.choice(np.arange(1, n), size=ncuts, replace=False))
+    for block in np.split(np.arange(n), cuts):
+        j[block, block] = rng.choice([0.0, 1.0, -0.5 + 0.5j])
+        j[block[1:], block[:-1]] = 1.0
+    if rng.integers(2):
+        u = np.linalg.qr(random_complex(n, int(rng.integers(2**32))))[0]
+        j = u @ j @ u.conj().T
+    return j
+
+
+def _companion(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Companion matrix of a monic polynomial with Gaussian coefficients."""
+    a = np.diag(np.ones(n - 1, dtype=np.complex128), -1)
+    a[:, -1] = -(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    return a
+
+
+def _graded_random(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Gaussian matrix scaled by a diagonal grading over up to 16 decades."""
+    d = np.logspace(0.0, -rng.uniform(0.0, 16.0), n)
+    if rng.integers(2):
+        d = d[::-1]
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return d[:, None] * g * d[None, :]
+
+
+def _exact_repeats(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Unitary similarity of a diagonal with one to three distinct values."""
+    values = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    lam = rng.choice(values[: rng.integers(1, 4)], size=n)
+    u = np.linalg.qr(random_complex(n, int(rng.integers(2**32))))[0]
+    return (u * lam) @ u.conj().T
+
+
+STRUCTURED = {
+    "jordan": _jordan,
+    "companion": _companion,
+    "graded": _graded_random,
+    "exact_repeats": _exact_repeats,
+}
+
+
+@given(
+    st.sampled_from(sorted(STRUCTURED)),
+    st.integers(2, CROSS + 34),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_structured_inputs_converge_or_refuse(kind, n, seed):
+    a = STRUCTURED[kind](n, np.random.default_rng(seed))
+    try:
+        sf = linalg.schur(a)
+    except linalg.ConvergenceError:
+        return
+    assert np.isfinite(sf.t).all() and np.isfinite(sf.q).all()
+    assert not np.tril(sf.t, -1).any()
+    assert sf.residual <= 1e-12
+    assert np.linalg.norm(sf.q @ sf.q.conj().T - np.eye(n)) <= 1e-11
+
+
+_THREAD_PROBE = """
+import sys
+
+import numpy as np
+
+from dtlab import linalg
+
+inputs = np.load(sys.argv[1])
+h = inputs["h"]
+t = h.copy()
+linalg._triangularize(t, None)
+tq = h.copy()
+q = np.eye(h.shape[0], dtype=np.complex128)
+linalg._triangularize(tq, q)
+np.savez(
+    sys.argv[2],
+    t=t,
+    tq=tq,
+    q=q,
+    eig64=linalg.eigenvalues(inputs["a64"]),
+    eig128=linalg.eigenvalues(inputs["a128"]),
+)
+"""
+
+
+def test_qr_phase_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # The Hessenberg reduction's own products do depend on the thread count
+    # at k = 256, so the QR phase starts from one saved Hessenberg matrix.
+    h = ginibre(256, 3)
+    linalg._hessenberg(h, None)
+    inputs = tmp_path / "inputs.npz"
+    np.savez(inputs, h=h, a64=ginibre(64, 3), a128=ginibre(128, 3))
+    src = str(Path(linalg.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        out = tmp_path / f"threads{threads}.npz"
+        subprocess.run(
+            [sys.executable, "-c", _THREAD_PROBE, str(inputs), str(out)],
+            env=env,
+            check=True,
+            timeout=600,
+        )
+        runs.append(np.load(out))
+    one, two = runs
+    assert sorted(one.files) == ["eig128", "eig64", "q", "t", "tq"]
+    for key in one.files:
+        assert one[key].tobytes() == two[key].tobytes(), key

@@ -349,6 +349,31 @@ def test_two_clouds_close_pair_mass_against_brute_force():
         )
 
 
+@pytest.mark.parametrize("delta", [0.125, 0.18])
+def test_cross_cloud_counts_with_repeats_match_brute_force(delta):
+    # Lattice points at spacing 0.125 drawn with replacement: both clouds
+    # repeat points, q shares ten of p's, and neighbours sit exactly 0.125
+    # apart, so at delta = 0.125 the strict test excludes them.
+    rng = np.random.default_rng(6)
+    grid = lattice(0.125, 6)
+    p = rng.choice(grid, 60)
+    q = np.concatenate([rng.choice(grid, 40), p[:10]])
+    gaps = np.abs(p[:, None] - q[None, :])
+    assert np.unique(p).size < p.size and np.unique(q).size < q.size
+    assert (gaps == 0.125).any()
+    hits = int((gaps < delta).sum())
+    assert measures._cloud_cloud_pair_prob(p, q, delta, False) == hits / (60 * 50)
+    mu = CompactMeasure(
+        diffuse=(measures.EmpiricalPart(p, 0.5), measures.EmpiricalPart(q, 0.5))
+    )
+    expected = (
+        0.25 * cloud_cloud_reference(p, p, delta, True)
+        + 0.5 * cloud_cloud_reference(p, q, delta, False)
+        + 0.25 * cloud_cloud_reference(q, q, delta, True)
+    )
+    assert measures.diffuse_product_mass(mu, delta) == expected
+
+
 def test_cloud_and_disk_close_pair_mass_against_brute_force():
     pts = _cloud(5, 120, 0.5)
     center, radius = 0.3 + 0.1j, 0.8
