@@ -99,11 +99,11 @@ def cmd_brown(args: argparse.Namespace, out: Path, config: dict) -> int:
     mu = _parse_mu(args)
     pair = brown.perturbed_microstate(mu, args.c, args.eps, args.k, args.seed)
     grid = brown.GridSpec.covering(pair.z, args.delta_reg) if args.density else None
-    lam = linalg.eigenvalues(pair.z)
-    _write_csv(out / "eigenvalues.csv", config, "re,im", _eigenvalue_lines(lam))
-
+    # Before the first file, so a refused disk leaves nothing behind.
     # smear_atoms puts each atom's disk first among the diffuse parts.
     disks = measures.smear_atoms(mu, args.c, args.eps).diffuse[: len(mu.atoms)]
+    lam = linalg.eigenvalues(pair.z)
+    _write_csv(out / "eigenvalues.csv", config, "re,im", _eigenvalue_lines(lam))
     verdicts = {}
     lines = []
     if disks:

@@ -166,69 +166,155 @@ def _adjoint(word: tuple) -> tuple:
     return tuple((idx, not adj) for idx, adj in reversed(word))
 
 
-class _TraceEngine:
-    """Normalized traces tr_k(w) of raw words w in a matrix family.
+#: Rows per block of the streamed products: the engine holds each product it
+#: forms as one _ROW_BLOCK x k slice at a time, never as a full k x k matrix.
+_ROW_BLOCK = 64
 
-    A word of L >= 2 letters is split as w = h r with ceil(L/2) letters in h,
-    and tr(h r) = vdot(P[r*], P[h]), so only products of at most ceil(L/2)
-    letters are ever formed.  Each product P[w] is formed on first use from
-    P[w minus its last letter], once per adjoint pair: P[w*] is the conjugate
-    transpose of P[w], never a second matrix product.  Traces are memoized,
-    with tr(w*) = conj tr(w).
+
+def _rotations(word: tuple) -> list[tuple]:
+    return [word[j:] + word[:j] for j in range(len(word))]
+
+
+def _trace_class(word: tuple) -> tuple[tuple, bool]:
+    """(key, conjugate) with tr(word) = tr(key), conjugated if ``conjugate``:
+    the trace is invariant under cyclic rotation and tr(w*) = conj tr(w), and
+    the key is the least word among the rotations of w and of w*."""
+    own = min(_rotations(word))
+    adj = min(_rotations(_adjoint(word)))
+    return (own, False) if own <= adj else (adj, True)
+
+
+def _splits(word: tuple) -> list[tuple[tuple, tuple]]:
+    """Pairs (x, y) with tr(word) = <P[x], P[y]>, where <X, Y> = sum conj(X) Y
+    and P[x] is the product of x's letters.  For every rotation v = h r of the
+    word, h holding ceil(L/2) or floor(L/2) letters, tr(h r) = <P[r*], P[h]>
+    = <P[h*], P[r]>, so no part has more than ceil(L/2) letters."""
+    n = len(word)
+    pairs = []
+    for v in _rotations(word):
+        for s in ((n + 1) // 2, n // 2):
+            h, r = v[:s], v[s:]
+            pairs += [(_adjoint(r), h), (_adjoint(h), r)]
+    return list(dict.fromkeys(pairs))
+
+
+def _prefix_products(pair: tuple) -> frozenset:
+    """The products of two or more letters that forming P[x] and P[y] takes."""
+    return frozenset(w[:j] for w in pair for j in range(2, len(w) + 1))
+
+
+def _plan(keys: list[tuple]) -> tuple[list[tuple], dict]:
+    """Products to form and one split per trace class.
+
+    Starts from every product some split needs, then drops products, longest
+    first, while every class keeps a split whose products all remain.
+    Returns the products in prefix order and each class's first such split.
     """
+    options = {key: [(p, _prefix_products(p)) for p in _splits(key)] for key in keys}
+    users: dict[tuple, dict] = {}
+    for key, opts in options.items():
+        for _, need in opts:
+            for w in need:
+                users.setdefault(w, {})[key] = None
+    formed = set(users)
+    for w in sorted(users, key=lambda w: (-len(w), w)):
+        rest = formed - {w}
+        if all(any(need <= rest for _, need in options[key]) for key in users[w]):
+            formed = rest
+    choice = {
+        key: next(pair for pair, need in opts if need <= formed)
+        for key, opts in options.items()
+    }
+    return sorted(formed, key=lambda w: (len(w), w)), choice
 
-    def __init__(self, mats: list[np.ndarray]):
-        self.k = mats[0].shape[0]
-        self._mat = {((i, False),): np.ascontiguousarray(a) for i, a in enumerate(mats)}
-        self._tr: dict[tuple, complex] = {}
 
-    def _matrix(self, word: tuple) -> np.ndarray:
-        m = self._mat.get(word)
-        if m is None:
-            adj = self._mat.get(_adjoint(word))
-            if adj is not None:
-                m = np.conj(adj.T, order="C")
-            else:
-                m = self._matrix(word[:-1]) @ self._matrix(word[-1:])
-            self._mat[word] = m
-        return m
+class _TraceRecorder:
+    """Stands in for a _TraceEngine and records the words asked for."""
+
+    def __init__(self):
+        self.words: dict[tuple, None] = {}
 
     def trace(self, word: tuple) -> complex:
-        tr = self._tr.get(word)
-        if tr is None:
-            adj = self._tr.get(_adjoint(word))
-            if adj is not None:
-                tr = adj.conjugate()
-            elif len(word) == 1:
-                tr = complex(np.trace(self._matrix(word))) / self.k
-            else:
-                h = (len(word) + 1) // 2
-                # Both operands C-contiguous, one pass.
-                tr = complex(
-                    np.vdot(self._matrix(_adjoint(word[h:])), self._matrix(word[:h]))
-                ) / self.k
-            self._tr[word] = tr
-        return tr
+        self.words[word] = None
+        return 0j
+
+
+class _TraceEngine:
+    """Normalized traces tr_k(w) of the given raw words w in a matrix family.
+
+    Words with one trace up to conjugation (rotations of w and of w*) share a
+    class, traced once.  A class of L >= 2 letters is traced as <P[x], P[y]>
+    for one split from ``_splits``, chosen so that few products are formed;
+    ``products`` lists them, each of at most ceil(L/2) letters.
+
+    Products are streamed in blocks R of _ROW_BLOCK rows,
+    P[w][R] = P[w minus its last letter][R] @ (last letter), with adjoint
+    letters taken from one conjugate-transposed copy per member, and each
+    trace sums its blocks' inner products in block order.  A block's inner
+    product is numpy's elementwise product and pairwise sum, not a BLAS dot,
+    so no trace depends on the BLAS thread count.
+    """
+
+    def __init__(self, mats: list[np.ndarray], words):
+        k = self.k = mats[0].shape[0]
+        self._class = {word: _trace_class(word) for word in words}
+        keys = list(dict.fromkeys(key for key, _ in self._class.values()))
+        self.products, choice = _plan([key for key in keys if len(key) > 1])
+        mats = [np.ascontiguousarray(m) for m in mats]
+        self._tr = {
+            key: complex(np.trace(mats[key[0][0]])) / k for key in keys if len(key) == 1
+        }
+        self._tr.update(self._stream(mats, choice))
+
+    def _stream(self, mats: list[np.ndarray], choice: dict) -> dict:
+        k = self.k
+        full = {(i, False): m for i, m in enumerate(mats)}
+        for pair in choice.values():
+            for i, adj in itertools.chain(*pair):
+                if adj and (i, True) not in full:
+                    full[i, True] = np.conj(mats[i].T, order="C")
+        rows = min(_ROW_BLOCK, k)
+        buf = {w: np.empty((rows, k), dtype=np.complex128) for w in self.products}
+        work = np.empty((rows, k), dtype=np.complex128)
+        sums = dict.fromkeys(choice, 0j)
+        for r0 in range(0, k, rows):
+            n = min(rows, k - r0)
+            block = {(letter,): m[r0 : r0 + n] for letter, m in full.items()}
+            for w in self.products:
+                block[w] = np.matmul(block[w[:-1]], full[w[-1]], out=buf[w][:n])
+            t = work[:n]
+            for key, (x, y) in choice.items():
+                np.conjugate(block[x], out=t)
+                t *= block[y]
+                sums[key] += complex(t.sum())
+        # A class that holds its own adjoint has a real trace.
+        return {
+            key: (complex(value.real) if key in _rotations(_adjoint(key)) else value) / k
+            for key, value in sums.items()
+        }
+
+    def trace(self, word: tuple) -> complex:
+        key, conjugate = self._class[word]
+        tr = self._tr[key]
+        return tr.conjugate() if conjugate else tr
 
 
 def star_moment_table(a, max_len: int) -> dict[str, complex]:
     """All *-moments of a single matrix up to the given word length.
 
     Keys are word labels such as ``"aa*"``, where ``*`` marks the adjoint.
-    Every trace is one ``vdot`` of two products of at most ceil(max_len/2)
-    letters, so the table forms one matrix product per adjoint pair of
-    words of 2..ceil(max_len/2) letters (3 at max_len 4), and a word whose
-    adjoint was traced first gets the conjugate of that trace.
+    The words go through one ``_TraceEngine``, so every trace pairs two
+    products of at most ceil(max_len/2) letters (3 products at max_len 4).
     """
     m = as_square_matrix(a)
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    engine = _TraceEngine([m])
     words = sorted(
         word
         for length in range(1, max_len + 1)
         for word in itertools.product(((0, False), (0, True)), repeat=length)
     )
+    engine = _TraceEngine([m], words)
     return {_label(word): engine.trace(word) for word in words}
 
 
@@ -270,7 +356,7 @@ def _alternating_products(factors, prefix, used, order):
             yield from _alternating_products(factors, product, used + len(factor), order)
 
 
-def _centered_trace(engine: _TraceEngine, product: tuple) -> complex:
+def _centered_trace(engine: _TraceEngine | _TraceRecorder, product: tuple) -> complex:
     """tr_k of the product of centered factors W_i - alpha_i I, alpha_i = tr_k(W_i),
     expanded as sum_S prod_{i not in S} (-alpha_i) tr_k(prod_{i in S} W_i)."""
     alphas = [engine.trace(w) for w in product]
@@ -302,8 +388,9 @@ def freeness_check(family, order: int, gamma: float) -> FreenessReport:
     One representative per class is traced, and ``worst_product`` is the
     lexicographically least label in the winning class.  No centered matrix
     is formed: the product of W_i - alpha_i I is expanded over the subsets
-    of factors kept raw, and every raw trace is one ``vdot`` of two products
-    of at most ceil(order/2) letters.
+    of factors kept raw; a first pass records the raw words, and one
+    ``_TraceEngine`` traces them all, each from two products of at most
+    ceil(order/2) letters.
 
     A family with fewer than two members (or order < 2) has no such product
     and passes vacuously.
@@ -332,7 +419,10 @@ def freeness_check(family, order: int, gamma: float) -> FreenessReport:
             )
             classes[label] = rep
 
-    engine = _TraceEngine(mats)
+    recorder = _TraceRecorder()
+    for rep in classes.values():
+        _centered_trace(recorder, rep)
+    engine = _TraceEngine(mats, recorder.words)
     values = {label: abs(_centered_trace(engine, rep)) for label, rep in classes.items()}
     best = max(values.values())
     worst = min(label for label, value in values.items() if value == best)

@@ -179,10 +179,11 @@ def _hessenberg(h: np.ndarray, q: np.ndarray | None) -> None:
         t = tbuf[:b, :b]
         y = ybuf[:, :b]
         col = np.empty(n, dtype=np.complex128)
+        reflected = False
         for i in range(b):
             j = j0 + i
             col[:] = h[:, j]
-            if i > 0:
+            if reflected:
                 # Right side: subtract (A V T) conj(row j of V).
                 col -= y[:, :i] @ vp[i - 1, :i].conj()
                 # Left side: col -= V T* (V* col) below the panel row.
@@ -197,6 +198,7 @@ def _hessenberg(h: np.ndarray, q: np.ndarray | None) -> None:
                 h[:, j] = col
                 h[j + 2 :, j] = 0.0
                 continue
+            reflected = True
             vp[i:, i] = v
             s = vp[:, :i].conj().T @ vp[:, i]
             t[:i, i] = -2.0 * (t[:i, :i] @ s)
@@ -211,8 +213,13 @@ def _hessenberg(h: np.ndarray, q: np.ndarray | None) -> None:
         # trailing block, right side first so the left update sees A - Y V*.
         # Slices of _HESS_SLICE columns (rows of q) bound each temporary to
         # n x _HESS_SLICE instead of n x n; every entry gets the same products.
-        jb = j0 + b
-        for c in range(jb, n, _HESS_SLICE):
+        # Until a panel's first reflector V = Y = 0, so a panel without one
+        # skips these updates, as its columns skip the pending ones: both
+        # would subtract exact zeros.
+        j0 += b
+        if not reflected:
+            continue
+        for c in range(j0, n, _HESS_SLICE):
             e = min(n, c + _HESS_SLICE)
             h[:, c:e] -= y @ vp[c - r0 : e - r0].conj().T
             w = vp.conj().T @ h[r0:, c:e]
@@ -221,7 +228,6 @@ def _hessenberg(h: np.ndarray, q: np.ndarray | None) -> None:
             for c in range(0, n, _HESS_SLICE):
                 rows = q[c : c + _HESS_SLICE, r0:]
                 rows -= (rows @ vp @ t) @ vp.conj().T
-        j0 = jb
 
 
 def _wilkinson_shift(h: np.ndarray, hi: int) -> complex:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -133,14 +134,26 @@ class CompactMeasure:
 
 
 def perturbation_radius(a: float, c: float, eps: float) -> float:
-    """Disk radius c * sqrt(a / log(1 + a / eps^2)) for an atom of mass a."""
+    """Disk radius c * sqrt(a / log(1 + a / eps^2)) for an atom of mass a.
+
+    Where eps^2 is not a normal float the logarithm is taken as
+    log a - 2 log eps + log1p(eps^2 / a), and where a / eps^2 is not one,
+    log1p(a / eps^2) equals a / eps^2 to every bit and the radius is c * eps.
+    """
     if not (0 < a <= 1):
         raise ValueError(f"atom mass must be in (0, 1], got {a}")
     if not (c > 0):
         raise ValueError(f"c must be positive, got {c}")
     if not (eps > 0):
         raise ValueError(f"eps must be positive, got {eps}")
-    return c * math.sqrt(a / math.log1p(a / (eps * eps)))
+    eps2 = eps * eps
+    if eps2 < sys.float_info.min:
+        return c * math.sqrt(
+            a / (math.log(a) - 2.0 * math.log(eps) + math.log1p(eps2 / a))
+        )
+    if a / eps2 < sys.float_info.min:
+        return c * eps
+    return c * math.sqrt(a / math.log1p(a / eps2))
 
 
 def smear_atoms(mu: CompactMeasure, c: float, eps: float) -> CompactMeasure:

@@ -1,12 +1,17 @@
 """Command line tests.
 
-Each test drives ``cli.main`` in process and inspects the files it writes.
-Numeric output is cross-read against the library calls the command wraps,
-so the CLI cannot drift from the package API.
+Each test drives ``cli.main`` in process and inspects the files it writes,
+except the BLAS thread-count test, which needs fresh processes.  Numeric
+output is cross-read against the library calls the command wraps, so the
+CLI cannot drift from the package API.
 """
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -186,6 +191,29 @@ def test_brown_no_density_flag(tmp_path):
     assert code == 0
     assert not (out / "density.csv").exists()
     assert read_json(out / "verdict.json")["density_mass"] is None
+
+
+def test_brown_at_an_eps_whose_square_underflows(tmp_path):
+    # eps^2 is 0.0 in floating point, so the disk radius is taken in logs.
+    # The run completes with a finite radius, and its exit code is the
+    # disk-law verdict it records (at k = 16 the computed spectrum sits on
+    # the atom, and the check fails), or it is refused with nothing written.
+    out = tmp_path / "b"
+    code = run(
+        "brown", "--seed", 1, "--k", 16, "--eps", 1e-200, "--no-density",
+        "--out", out,
+    )
+    if code == 2:
+        assert not out.exists()
+        return
+    verdict = read_json(out / "verdict.json")
+    disk = verdict["disk_law"]["atom_0"]
+    assert 0.0 < disk["radius"] < math.inf
+    assert disk["radius"] == measures.perturbation_radius(1.0, 1.0, 1e-200)
+    assert code == (0 if disk["passed"] else 1)
+    assert sorted(p.name for p in out.iterdir()) == [
+        "eigenvalues.csv", "radial_cdf.csv", "verdict.json",
+    ]
 
 
 # ----------------------------------------------------------------------------
@@ -377,6 +405,33 @@ def test_freeness_repeated_member_fails(tmp_path):
     )
     assert code == 1
     assert read_json(out / "freeness.json")["passed"] is False
+
+
+def test_moment_and_freeness_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # At k = 200 the trace engine streams three full row blocks and a ragged
+    # one.  A BLAS dot product of such operands rounds differently under 1
+    # and 2 OpenBLAS threads; the engine's reductions must not.
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    runs = (
+        ("sample", "--seed", "1", "--k", "200"),
+        ("freeness", "--seed", "5", "--k", "200", "--order", "4"),
+    )
+    outputs = []
+    for threads in ("1", "2"):
+        cwd = tmp_path / f"threads{threads}"
+        cwd.mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        for argv in runs:
+            subprocess.run(
+                [sys.executable, "-m", "dtlab", *argv, "--out", argv[0]],
+                cwd=cwd, env=env, check=True, timeout=600,
+            )
+        outputs.append([
+            (cwd / "sample" / "moments.json").read_bytes(),
+            (cwd / "freeness" / "freeness.json").read_bytes(),
+        ])
+    assert outputs[0] == outputs[1]
 
 
 # ----------------------------------------------------------------------------

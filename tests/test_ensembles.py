@@ -8,6 +8,7 @@ share no construction code.
 
 import itertools
 import re
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -296,17 +297,69 @@ def test_star_moment_table_matches_full_products():
             )
 
 
+# ----------------------------------------------------------------------------
+# Row blocks of the trace engine: block edges, ragged last blocks, memory
+
+
+ROW_BLOCK_CASES = [
+    pytest.param(10, 3, id="k10-blocks-of-3"),
+    pytest.param(130, 64, id="k130-two-blocks-and-a-ragged-one"),
+]
+
+
+@pytest.mark.parametrize("k, row_block", ROW_BLOCK_CASES)
+def test_star_moment_table_across_row_blocks(monkeypatch, k, row_block):
+    monkeypatch.setattr(ensembles, "_ROW_BLOCK", row_block)
+    rng = np.random.default_rng(k)
+    m = np.triu(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+    m /= np.sqrt(k)
+    for max_len in (5, 6):
+        table = ensembles.star_moment_table(m, max_len)
+        for word, value in table.items():
+            assert value == pytest.approx(
+                full_product_trace([m], letters(word)), rel=1e-12, abs=1e-12
+            )
+
+
+@pytest.mark.parametrize("k, row_block", ROW_BLOCK_CASES)
+@pytest.mark.parametrize("order", [4, 6])
+def test_freeness_check_across_row_blocks(monkeypatch, k, row_block, order):
+    monkeypatch.setattr(ensembles, "_ROW_BLOCK", row_block)
+    _check_against_brute_force(_ginibre_family(k, 2, seed=order), order)
+
+
+def test_freeness_check_peak_memory_stays_a_few_matrices():
+    # The engine holds one conjugate-transposed copy of each member and
+    # _ROW_BLOCK rows of each product it forms (9 at order 4).  At k = 256
+    # its peak traced allocation measured 4.7 k x k complex matrices; an
+    # engine that keeps every half-word product and its adjoint as a full
+    # matrix measured 18.3.
+    k = 256
+    fam = _ginibre_family(k, 2, seed=1)
+    tracemalloc.start()
+    try:
+        ensembles.freeness_check(fam, order=4, gamma=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * k * k * 16
+
+
 def test_trace_engine_matches_full_products_on_mixed_words():
     # Every word of at most 5 letters in two members and their adjoints,
     # odd lengths included; no product longer than 3 letters is formed.
     fam = _ginibre_family(8, 2, seed=9)
-    engine = ensembles._TraceEngine(fam)
     letters = [(i, adj) for i in range(2) for adj in (False, True)]
-    for length in range(1, 6):
-        for word in itertools.product(letters, repeat=length):
-            want = full_product_trace(fam, word)
-            assert engine.trace(word) == pytest.approx(want, rel=1e-12, abs=1e-14)
-    assert max(len(w) for w in engine._mat) == 3
+    words = [
+        word
+        for length in range(1, 6)
+        for word in itertools.product(letters, repeat=length)
+    ]
+    engine = ensembles._TraceEngine(fam, words)
+    for word in words:
+        want = full_product_trace(fam, word)
+        assert engine.trace(word) == pytest.approx(want, rel=1e-12, abs=1e-14)
+    assert max(len(w) for w in engine.products) == 3
 
 
 def test_freeness_check_leaves_a_repeated_member_unchanged():

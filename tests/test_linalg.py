@@ -195,6 +195,29 @@ def test_schur_triangular_input_passes_through():
     assert np.allclose(np.sort_complex(np.diag(sf.t)), np.sort_complex(np.diag(a)))
 
 
+@pytest.mark.parametrize("n", [20, CROSS + 1, 200])
+def test_eigenvalues_of_a_triangular_matrix_are_its_diagonal_bytes(n):
+    # Every Hessenberg panel is already reduced, so no update touches it.
+    a = np.triu(random_complex(n, 900 + n))
+    assert linalg.eigenvalues(a).tobytes() == np.diag(a).tobytes()
+
+
+def test_hessenberg_after_a_reduced_first_panel_matches_lapack():
+    # The first panel's columns are upper triangular, so it has no
+    # reflectors and its updates are skipped; the next panels still reduce.
+    n = 3 * linalg._HESS_PANEL
+    a = random_complex(n, 901)
+    below = np.tril(np.ones((n, n), dtype=bool), -1)
+    below[:, linalg._HESS_PANEL :] = False
+    a[below] = 0.0
+    h = a.copy()
+    q = np.eye(n, dtype=np.complex128)
+    linalg._hessenberg(h, q)
+    assert np.array_equal(np.tril(h, -2), np.zeros_like(h))
+    assert np.abs(q @ h @ q.conj().T - a).max() < 1e-12 * np.abs(a).max()
+    assert matched_rel_err(linalg.eigenvalues(a), np.linalg.eigvals(a)) <= 1e-12
+
+
 def test_schur_hermitian_matches_jacobi_oracle():
     for n, seed in [(6, 1), (12, 2), (24, 3)]:
         g = random_complex(n, 800 + seed)

@@ -62,6 +62,24 @@ def test_fractional_atom_radius_against_mpmath():
     )
 
 
+@pytest.mark.parametrize(
+    "eps", [5e-324, 1e-200, 1.4e-154, 1.5e-154, 1e-100, 1e154, 1e160, 1e300]
+)
+@pytest.mark.parametrize("a", [1.0, 0.3])
+def test_radius_is_finite_where_eps_squared_leaves_the_normal_range(a, eps):
+    # eps^2 underflows below about 1.5e-154 and overflows above 1.3e154.
+    got = measures.perturbation_radius(a, 0.7, eps)
+    assert 0.0 < got < math.inf
+    assert got == pytest.approx(mp_radius(a, 0.7, eps), rel=1e-13)
+
+
+@pytest.mark.parametrize("eps", [1e-150, 1e-8, 0.5, 3.0, 1e150])
+def test_radius_at_ordinary_eps_is_the_plain_formula(eps):
+    assert measures.perturbation_radius(0.3, 0.7, eps) == 0.7 * math.sqrt(
+        0.3 / math.log1p(0.3 / (eps * eps))
+    )
+
+
 @given(
     st.floats(0.01, 0.6),
     st.floats(0.1, 4.0),
