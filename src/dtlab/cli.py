@@ -66,10 +66,11 @@ def _eigenvalue_lines(lam: np.ndarray):
 
 
 def _matrix_lines(a: np.ndarray):
-    """One string per row of a: its 'i,j,re,im' lines, joined once."""
-    for i, (re_row, im_row) in enumerate(zip(a.real.tolist(), a.imag.tolist())):
+    """One string per row of a: its 'i,j,re,im' lines, converted and joined per row."""
+    for i, row in enumerate(a):
         yield "".join([
-            f"{i},{j},{re!r},{im!r}\n" for j, (re, im) in enumerate(zip(re_row, im_row))
+            f"{i},{j},{re!r},{im!r}\n"
+            for j, (re, im) in enumerate(zip(row.real.tolist(), row.imag.tolist()))
         ])
 
 

@@ -161,7 +161,7 @@ def dimension_scan(
                 k=k,
                 f_lb_norm=f_lb_norm,
                 const_term=const_term,
-                delta_hat=total / (n * n * log_eps),
+                delta_hat=assemble_delta_hat(eps, bigN, f_lb_norm, const_term),
                 log_packing_lb=total,
                 chi_offset=chi_offset,
             )

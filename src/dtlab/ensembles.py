@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -228,17 +229,6 @@ def _plan(keys: list[tuple]) -> tuple[list[tuple], dict]:
     return sorted(formed, key=lambda w: (len(w), w)), choice
 
 
-class _TraceRecorder:
-    """Stands in for a _TraceEngine and records the words asked for."""
-
-    def __init__(self):
-        self.words: dict[tuple, None] = {}
-
-    def trace(self, word: tuple) -> complex:
-        self.words[word] = None
-        return 0j
-
-
 class _TraceEngine:
     """Normalized traces tr_k(w) of the given raw words w in a matrix family.
 
@@ -356,20 +346,21 @@ def _alternating_products(factors, prefix, used, order):
             yield from _alternating_products(factors, product, used + len(factor), order)
 
 
-def _centered_trace(engine: _TraceEngine | _TraceRecorder, product: tuple) -> complex:
+def _kept_words(product: tuple):
+    """Yield (keep, word) for every subset S of the factors kept raw: keep[i]
+    says whether factor i is in S, and word is the product of S's factors."""
+    for keep in itertools.product((False, True), repeat=len(product)):
+        yield keep, sum(itertools.compress(product, keep), ())
+
+
+def _centered_trace(trace, product: tuple) -> complex:
     """tr_k of the product of centered factors W_i - alpha_i I, alpha_i = tr_k(W_i),
     expanded as sum_S prod_{i not in S} (-alpha_i) tr_k(prod_{i in S} W_i)."""
-    alphas = [engine.trace(w) for w in product]
+    negated = [-trace(w) for w in product]
     total = 0j
-    for keep in itertools.product((False, True), repeat=len(product)):
-        coef = 1.0 + 0j
-        word = ()
-        for w, alpha, raw in zip(product, alphas, keep):
-            if raw:
-                word += w
-            else:
-                coef *= -alpha
-        total += coef * (engine.trace(word) if word else 1.0)
+    for keep, word in _kept_words(product):
+        dropped = itertools.compress(negated, map(operator.not_, keep))
+        total += math.prod(dropped, start=1.0 + 0j) * (trace(word) if word else 1.0)
     return total
 
 
@@ -388,9 +379,8 @@ def freeness_check(family, order: int, gamma: float) -> FreenessReport:
     One representative per class is traced, and ``worst_product`` is the
     lexicographically least label in the winning class.  No centered matrix
     is formed: the product of W_i - alpha_i I is expanded over the subsets
-    of factors kept raw; a first pass records the raw words, and one
-    ``_TraceEngine`` traces them all, each from two products of at most
-    ceil(order/2) letters.
+    of factors kept raw, and one ``_TraceEngine`` traces every raw word, each
+    from two products of at most ceil(order/2) letters.
 
     A family with fewer than two members (or order < 2) has no such product
     and passes vacuously.
@@ -419,11 +409,9 @@ def freeness_check(family, order: int, gamma: float) -> FreenessReport:
             )
             classes[label] = rep
 
-    recorder = _TraceRecorder()
-    for rep in classes.values():
-        _centered_trace(recorder, rep)
-    engine = _TraceEngine(mats, recorder.words)
-    values = {label: abs(_centered_trace(engine, rep)) for label, rep in classes.items()}
+    words = [word for rep in classes.values() for _, word in _kept_words(rep) if word]
+    trace = _TraceEngine(mats, dict.fromkeys(words)).trace
+    values = {label: abs(_centered_trace(trace, rep)) for label, rep in classes.items()}
     best = max(values.values())
     worst = min(label for label, value in values.items() if value == best)
     return FreenessReport(

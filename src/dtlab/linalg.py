@@ -21,6 +21,7 @@ precision.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,9 +89,16 @@ def as_square_matrix(a, name: str = "a") -> np.ndarray:
 
 
 def norm2(a) -> float:
-    """Normalized trace norm tr_k(a* a)^(1/2) == ||a||_F / sqrt(k)."""
+    """Normalized trace norm tr_k(a* a)^(1/2) == ||a||_F / sqrt(k); where the plain
+    sum of squares under- or overflows, a is first divided by its largest modulus."""
     m = as_square_matrix(a)
-    return float(np.linalg.norm(m) / math.sqrt(m.shape[0]))
+    with np.errstate(over="ignore"):
+        frob = float(np.linalg.norm(m))
+    if not sys.float_info.min <= frob * frob < math.inf:
+        scale = float(np.abs(m).max())
+        if 0 < scale < math.inf:
+            frob = scale * float(np.linalg.norm(m / scale))
+    return frob / math.sqrt(m.shape[0])
 
 
 def lu_logabsdet_stack(stack: np.ndarray) -> np.ndarray:

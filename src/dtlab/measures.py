@@ -304,7 +304,8 @@ def diffuse_product_mass(mu: CompactMeasure, delta: float) -> float:
 def overlap_bound(mu: CompactMeasure, c: float, eps: float, delta: float) -> float:
     """Upper bound for the close-pair mass of the atom-smeared measure.
 
-    Equals the diffuse close-pair mass of mu plus
+    Equals the diffuse close-pair mass of mu plus 2 * sum_i a_i min(1, delta/r_i)^2,
+    with r_i the :func:`perturbation_radius` of atom i, that is
     2 * sum_i min(a_i, delta^2 c^-2 log(1 + a_i eps^-2)); the atom term
     dominates each smeared disk's self and cross contributions.
     """
@@ -314,7 +315,7 @@ def overlap_bound(mu: CompactMeasure, c: float, eps: float, delta: float) -> flo
         raise ValueError("c and eps must be positive")
     atom_term = 0.0
     for _, a in mu.atoms:
-        atom_term += min(a, (delta * delta / (c * c)) * math.log1p(a / (eps * eps)))
+        atom_term += a * min(1.0, delta / perturbation_radius(a, c, eps)) ** 2
     return diffuse_product_mass(mu, delta) + 2.0 * atom_term
 
 

@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +140,22 @@ def test_matrix_writer_matches_the_per_entry_writer(tmp_path):
     config = {"k": 9, "seed": 2}
     cli._write_csv(tmp_path / "m.csv", config, "i,j,re,im", cli._matrix_lines(a))
     assert (tmp_path / "m.csv").read_text() == per_entry_matrix_csv(config, a)
+
+
+def test_matrix_writer_converts_one_row_at_a_time(tmp_path):
+    # Writing matrix.csv at k = 512 peaked at 4.0 matrices of traced
+    # allocation when the whole matrix became Python lists first, and at 0.02
+    # with one row converted at a time.
+    k = 512
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+    tracemalloc.start()
+    try:
+        cli._write_csv(tmp_path / "m.csv", {"k": k}, "i,j,re,im", cli._matrix_lines(a))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= a.nbytes / 8
 
 
 def test_sample_block_model_size(tmp_path):

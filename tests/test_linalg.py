@@ -13,6 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -102,6 +103,32 @@ def test_norm2_is_scaled_frobenius(n, seed):
 
 def test_norm2_of_identity_is_one():
     assert linalg.norm2(np.eye(7)) == pytest.approx(1.0)
+
+
+def mp_norm2(a: np.ndarray) -> float:
+    """tr_k(a* a)^(1/2) of the float entries in 60-digit arithmetic."""
+    with mpmath.workdps(60):
+        total = mpmath.fsum(
+            mpmath.mpf(z.real) ** 2 + mpmath.mpf(z.imag) ** 2 for z in a.ravel()
+        )
+        return float(mpmath.sqrt(total / a.shape[0]))
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160, 1e160, 1e200])
+def test_norm2_where_the_sum_of_squares_leaves_the_normal_range(scale):
+    # The squares of these entries underflow or overflow; norm2 rescales.
+    flat = np.full((16, 16), scale * (1 + 3j))
+    assert linalg.norm2(flat) == pytest.approx(mp_norm2(flat), rel=1e-14, abs=0)
+    mixed = scale * random_complex(16, 4)
+    mixed[0, 0] = 0.0
+    assert linalg.norm2(mixed) == pytest.approx(mp_norm2(mixed), rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-50, 1.0, 1e50, 1e150])
+def test_norm2_at_ordinary_magnitudes_is_the_plain_formula(scale):
+    a = scale * random_complex(24, 5)
+    plain = float(np.linalg.norm(a) / math.sqrt(24))
+    assert linalg.norm2(a) == plain
 
 
 # ----------------------------------------------------------------------------

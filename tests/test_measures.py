@@ -171,6 +171,47 @@ def test_overlap_bound_point_mass_closed_forms():
     assert measures.overlap_bound(delta0, 1.0, 1.0, 0.1) == pytest.approx(
         2.0 * 0.01 * math.log(2.0), rel=1e-12
     )
+    # Where eps^2 is subnormal: 2 * delta^2 * log(eps^-2), here 0.1455.
+    assert measures.overlap_bound(delta0, 1.0, 1e-158, 0.01) == pytest.approx(
+        2.0 * 1e-4 * 316 * math.log(10.0), rel=1e-12
+    )
+
+
+def mp_atom_overlap(atoms, c: float, eps: float, delta: float) -> float:
+    """High precision 2 * sum_i min(a_i, delta^2 c^-2 log(1 + a_i / eps^2))."""
+    with mpmath.workdps(40):
+        c_, e_, d_ = mpmath.mpf(c), mpmath.mpf(eps), mpmath.mpf(delta)
+        a_ = [mpmath.mpf(a) for a in atoms]
+        terms = [min(a, (d_ / c_) ** 2 * mpmath.log1p(a / e_**2)) for a in a_]
+        return float(2 * mpmath.fsum(terms))
+
+
+@pytest.mark.parametrize("eps", [1e-158, 1e-163, 1e-200, 5e-324])
+@pytest.mark.parametrize("specs", [["atom:0,0,1"], ["atom:0,0,0.3", "atom:1,0.5,0.7"]])
+def test_overlap_bound_where_eps_squared_underflows(specs, eps):
+    # The atom term goes through perturbation_radius, whose log form holds
+    # where eps^2 is not a normal float; at 1e-158 a plain log1p(a / eps^2)
+    # saturates at the trivial bound 2, and below about 1.5e-162 it divides
+    # by zero.
+    mu = measures.parse_measure_spec(specs)
+    atoms = [a for _, a in mu.atoms]
+    for c, delta in [(1.0, 0.01), (0.7, 0.002)]:
+        bound = measures.overlap_bound(mu, c, eps, delta)
+        expected = mp_atom_overlap(atoms, c, eps, delta)
+        assert bound == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("eps", [1.0, 0.1, 0.01])
+def test_overlap_bound_at_ordinary_eps_is_the_plain_formula(eps):
+    mu = measures.parse_measure_spec(["atom:0,0,0.3", "atom:1,0.5,0.7"])
+    for c, delta in [(1.0, 0.01), (1.0, 0.3), (0.7, 0.05), (2.0, 10.0)]:
+        plain = 2.0 * sum(
+            min(a, (delta * delta / (c * c)) * math.log1p(a / (eps * eps)))
+            for _, a in mu.atoms
+        )
+        assert measures.overlap_bound(mu, c, eps, delta) == pytest.approx(
+            plain, rel=1e-14, abs=0
+        )
 
 
 def test_overlap_bound_decreases_with_delta():
