@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ensembles, linalg, measures
-from .errors import ConfigError
 from .rng import substream
 
 __all__ = [
@@ -125,7 +124,7 @@ class GridSpec:
         the spectrum of a, as :func:`brown_logdet_grid` requires, with two
         spare cells beyond it on every side."""
         if not (delta_reg > 0):
-            raise ConfigError(f"delta_reg must be positive, got {delta_reg}")
+            raise ValueError(f"delta_reg must be positive, got {delta_reg}")
         half = _covering_radius(a) + 2.0 * delta_reg
         return cls.square(half, int(math.ceil(2.0 * half / delta_reg)) + 1)
 
@@ -190,16 +189,16 @@ def brown_logdet_grid(a: np.ndarray, grid: GridSpec, delta_reg: float) -> Densit
     """
     a = linalg.as_square_matrix(a, "a")
     if not (delta_reg > 0):
-        raise ConfigError(f"delta_reg must be positive, got {delta_reg}")
+        raise ValueError(f"delta_reg must be positive, got {delta_reg}")
     spacing = max(grid.dx, grid.dy)
     if spacing > delta_reg + 1e-15:
-        raise ConfigError(
+        raise ValueError(
             f"grid spacing {spacing:.4g} exceeds delta_reg {delta_reg:.4g}; "
             "refine the grid or increase the regularization"
         )
     bound = _covering_radius(a)
     if grid.xmin > -bound or grid.xmax < bound or grid.ymin > -bound or grid.ymax < bound:
-        raise ConfigError(
+        raise ValueError(
             f"grid must cover the disk of radius {bound:.4g} around the origin"
         )
     # For w = x + i y, (a - w)* (a - w) = G - x S - y K + |w|^2 I with

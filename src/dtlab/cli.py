@@ -23,7 +23,6 @@ from pathlib import Path
 import numpy as np
 
 from . import brown, dimension, dyson, ensembles, linalg, measures
-from .errors import ConfigError
 from .rng import derive_seed
 
 _LIMIT_NEG2LOG2 = -2.0 * math.log(2.0)
@@ -55,10 +54,7 @@ def _resolved_config(args: argparse.Namespace) -> dict:
 
 def _parse_mu(args: argparse.Namespace) -> measures.CompactMeasure:
     specs = args.mu if args.mu else ["atom:0,0,1"]
-    try:
-        return measures.parse_measure_spec(specs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return measures.parse_measure_spec(specs)
 
 
 def _eigenvalue_lines(lam: np.ndarray):
@@ -160,7 +156,7 @@ def cmd_brown(args: argparse.Namespace, out: Path, config: dict) -> int:
 
 def cmd_eeps(args: argparse.Namespace, out: Path, config: dict) -> int:
     if args.points and args.gen_k:
-        raise ConfigError("give either --points or --gen-k, not both")
+        raise ValueError("give either --points or --gen-k, not both")
     if args.points:
         pts = measures._load_point_csv(Path(args.points))
     elif args.gen_k:
@@ -168,7 +164,7 @@ def cmd_eeps(args: argparse.Namespace, out: Path, config: dict) -> int:
         pair = brown.perturbed_microstate(mu, args.c, args.eps, args.gen_k, args.seed)
         pts = linalg.eigenvalues(pair.z)
     else:
-        raise ConfigError("one of --points or --gen-k is required")
+        raise ValueError("one of --points or --gen-k is required")
     n = pts.size
     est = dyson.log_separation_integral_mc(pts, args.eps, args.trials, args.seed)
 
@@ -208,7 +204,7 @@ def cmd_eeps(args: argparse.Namespace, out: Path, config: dict) -> int:
 def cmd_selberg(args: argparse.Namespace, out: Path, config: dict) -> int:
     grid = sorted(set(args.n_grid))
     if len(grid) < 2:
-        raise ConfigError("--n-grid needs at least two distinct sizes")
+        raise ValueError("--n-grid needs at least two distinct sizes")
     rates, lines = {}, []
     for n in grid:
         box = dyson.log_selberg_box_integral(n, args.eps).log_value
@@ -244,7 +240,7 @@ def cmd_scan(args: argparse.Namespace, out: Path, config: dict) -> int:
         seed=args.seed,
     )
     if not rows:
-        raise ConfigError("no admissible eps in the grid; nothing to scan")
+        raise ValueError("no admissible eps in the grid; nothing to scan")
     out.mkdir(parents=True, exist_ok=True)
     dimension.write_scan_csv(rows, out / "scan.csv", config)
     hats = [r.delta_hat for r in rows]
@@ -285,10 +281,10 @@ def _build_family(args: argparse.Namespace) -> list[np.ndarray]:
             family.append(ensembles.sample_diagonal(mu, args.k, seed=seed_i))
         elif kind == "repeat":
             if not family:
-                raise ConfigError("'repeat' cannot be the first family member")
+                raise ValueError("'repeat' cannot be the first family member")
             family.append(family[-1])
         else:
-            raise ConfigError(f"unknown family member kind {kind!r}")
+            raise ValueError(f"unknown family member kind {kind!r}")
     return family
 
 
@@ -414,7 +410,7 @@ def _inject_config_file(argv: list[str]) -> list[str]:
     for at, token in enumerate(argv):
         if token == "--config":
             if at + 1 >= len(argv):
-                raise ConfigError("--config needs a file argument")
+                raise ValueError("--config needs a file argument")
             path, rest = Path(argv[at + 1]), argv[:at] + argv[at + 2 :]
             break
         if token.startswith("--config="):
@@ -423,7 +419,7 @@ def _inject_config_file(argv: list[str]) -> list[str]:
     else:
         return argv
     if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
+        raise ValueError(f"config file not found: {path}")
     injected: list[str] = []
     for raw in path.read_text().splitlines():
         line = raw.strip()
@@ -431,10 +427,10 @@ def _inject_config_file(argv: list[str]) -> list[str]:
             continue
         key, sep, value = line.partition("=")
         if not sep:
-            raise ConfigError(f"config line is not key=value: {raw!r}")
+            raise ValueError(f"config line is not key=value: {raw!r}")
         injected.extend([f"--{key.strip()}", value.strip()])
     if not rest:
-        raise ConfigError("config file given without a subcommand")
+        raise ValueError("config file given without a subcommand")
     return rest[:1] + injected + rest[1:]
 
 
@@ -445,8 +441,8 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         return args.func(args, Path(args.out), _resolved_config(args))
     except (ValueError, OSError) as exc:
-        # ConfigError is a ValueError; a library ValueError is a violated
-        # precondition of the requested run, so both are configuration errors.
+        # Every refusal, from the flags or from the library, is a ValueError:
+        # a violated precondition of the requested run, a configuration error.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except linalg.ConvergenceError as exc:

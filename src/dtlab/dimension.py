@@ -24,7 +24,6 @@ import numpy as np
 from scipy.special import gammaln
 
 from . import brown, dyson, linalg
-from .errors import ConfigError
 from .measures import CompactMeasure
 from .rng import derive_seed
 
@@ -136,9 +135,9 @@ def dimension_scan(
     logged with their reason and do not abort the scan.
     """
     if bigN < 2:
-        raise ConfigError(f"bigN must be >= 2, got {bigN}")
+        raise ValueError(f"bigN must be >= 2, got {bigN}")
     if k < 2:
-        raise ConfigError(f"k must be >= 2, got {k}")
+        raise ValueError(f"k must be >= 2, got {k}")
     rows: list[ScanRow] = []
     n = bigN * k
     for i, eps in enumerate(eps_grid):
@@ -165,7 +164,7 @@ def dimension_scan(
                 log_packing_lb=total,
                 chi_offset=chi_offset,
             )
-        except (ConfigError, ValueError) as exc:
+        except ValueError as exc:
             logger.warning("scan skips eps=%g: %s", eps, exc)
             continue
         rows.append(row)

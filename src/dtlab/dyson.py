@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .errors import ConfigError
 from .measures import pair_proximity_mass
 from .rng import substream
 
@@ -124,7 +123,9 @@ def log_separation_integral_mc(
     bound mean-of-logs + log volume (standard error of the mean).
 
     Draws landing exactly on a coincidence (integrand zero) are redrawn;
-    the count of redraws is reported.
+    the count of redraws is reported.  Points on which too few draws are
+    nondegenerate, such as two equal points at an eps whose square
+    underflows, are refused with ValueError.
     """
     z = np.asarray(points, dtype=np.complex128).ravel()
     n = z.size
@@ -151,7 +152,7 @@ def log_separation_integral_mc(
     block_rows = max(1, _BLOCK_PAIRS // iu.size)
     while filled < trials:
         if attempts >= attempt_cap:
-            raise RuntimeError(
+            raise ValueError(
                 f"could not draw {trials} nondegenerate samples "
                 f"in {attempt_cap} attempts"
             )
@@ -224,7 +225,7 @@ def separation_integral_lower_bound(points, eps: float, delta: float) -> LogEsti
     if n < 2:
         raise ValueError("need at least two points")
     if not (0 < 3.0 * eps < delta <= 1.0):
-        raise ConfigError(
+        raise ValueError(
             f"need 1 >= delta > 3*eps, got delta={delta}, 3*eps={3.0 * eps}"
         )
     w = round(n * n * pair_proximity_mass(z, delta))
@@ -244,7 +245,7 @@ def delta_schedule(eps: float) -> float:
     and exceeds 3 eps, as the lower-bound chain requires.
     """
     if not (0.0 < eps < _SCHEDULE_CEILING):
-        raise ConfigError(
+        raise ValueError(
             f"eps={eps} outside the admissible range (0, e^-4): "
             f"the schedule needs 0 < eps < {_SCHEDULE_CEILING:.6g}"
         )

@@ -205,40 +205,39 @@ def _same_disk_pair_prob(radius: float, delta: float) -> float:
     return min(1.0, max(0.0, value))
 
 
-_GL_NODES = 96
-
-
-def _disk_disk_pair_prob(
-    c1: complex, r1: float, c2: complex, r2: float, delta: float
+def _lens_mean(
+    points: np.ndarray, weights: np.ndarray, center: complex, radius: float, delta: float
 ) -> float:
-    """P(|w1 - w2| < delta) for independent uniform points in two disks.
+    """Weighted mean over points w of P(|w - v| < delta), v uniform in a disk.
 
-    Tensor Gauss-Legendre in polar coordinates over the first disk of the
-    lens-area kernel; the integrand is continuous, so ~1e-4 absolute accuracy
-    at 96 nodes per axis, which is far below the tolerances this feeds.
+    For each point that probability is the area of the delta-disk about w
+    inside the disk, over the disk's area.
     """
-    d12 = abs(c1 - c2)
-    if d12 >= r1 + r2 + delta:
-        return 0.0
-    x, wx = np.polynomial.legendre.leggauss(_GL_NODES)
-    r = 0.5 * r1 * (x + 1.0)
-    wr = 0.5 * r1 * wx
-    th = math.pi * (x + 1.0)
-    wt = math.pi * wx
-    rr, tt = np.meshgrid(r, th, indexing="ij")
-    dist = np.sqrt(rr * rr + d12 * d12 - 2.0 * rr * d12 * np.cos(tt))
-    lens = _lens_area(dist, delta, r2)
-    area2 = math.pi * r2 * r2
-    weights = np.outer(wr * r, wt)
-    value = float((weights * lens).sum() / (math.pi * r1 * r1) / area2)
+    lens = _lens_area(np.abs(points - center), delta, radius)
+    value = float((weights * lens).sum() / (math.pi * radius * radius))
     return min(1.0, max(0.0, value))
 
 
-def _cloud_disk_pair_prob(
-    points: np.ndarray, center: complex, radius: float, delta: float
-) -> float:
-    lens = _lens_area(np.abs(points - center), delta, radius)
-    return float(lens.mean() / (math.pi * radius * radius))
+_GL_NODES = 96
+
+
+def _disk_disk_pair_prob(p: DiskPart, q: DiskPart, delta: float) -> float:
+    """P(|w1 - w2| < delta) for independent uniform points in two disks.
+
+    Tensor Gauss-Legendre in polar coordinates over the first disk, placed
+    at the origin with the second disk's center on the positive real axis;
+    the lens-area integrand is continuous, so ~1e-4 absolute accuracy at 96
+    nodes per axis, which is far below the tolerances this feeds.
+    """
+    d12 = abs(p.center - q.center)
+    if d12 >= p.radius + q.radius + delta:
+        return 0.0
+    x, wx = np.polynomial.legendre.leggauss(_GL_NODES)
+    r = 0.5 * p.radius * (x + 1.0)
+    th = math.pi * (x + 1.0)
+    # Node weights (R/2) w_i r_i * pi w_j over the first disk's area pi R^2.
+    weights = np.outer(wx * r, wx) / (2.0 * p.radius)
+    return _lens_mean(np.outer(r, np.exp(1j * th)), weights, d12, q.radius, delta)
 
 
 def _weighted_tree(z: np.ndarray) -> tuple[cKDTree, np.ndarray]:
@@ -277,17 +276,16 @@ def _cloud_cloud_pair_prob(
 
 
 def _diffuse_pair_prob(p: DiffusePart, q: DiffusePart, delta: float) -> float:
-    if isinstance(p, DiskPart) and isinstance(q, DiskPart):
-        if p is q:
-            return _same_disk_pair_prob(p.radius, delta)
-        return _disk_disk_pair_prob(p.center, p.radius, q.center, q.radius, delta)
-    if isinstance(p, DiskPart) and isinstance(q, EmpiricalPart):
-        return _cloud_disk_pair_prob(q.points, p.center, p.radius, delta)
-    if isinstance(p, EmpiricalPart) and isinstance(q, DiskPart):
-        return _cloud_disk_pair_prob(p.points, q.center, q.radius, delta)
     if isinstance(p, EmpiricalPart) and isinstance(q, EmpiricalPart):
         return _cloud_cloud_pair_prob(p.points, q.points, delta, p is q)
-    raise TypeError(f"unsupported diffuse parts {type(p)} x {type(q)}")
+    if isinstance(p, EmpiricalPart):
+        p, q = q, p
+    if isinstance(q, EmpiricalPart):
+        n = len(q.points)
+        return _lens_mean(q.points, np.full(n, 1.0 / n), p.center, p.radius, delta)
+    if p is q:
+        return _same_disk_pair_prob(p.radius, delta)
+    return _disk_disk_pair_prob(p, q, delta)
 
 
 def diffuse_product_mass(mu: CompactMeasure, delta: float) -> float:

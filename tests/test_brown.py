@@ -14,7 +14,7 @@ import pytest
 
 from dtlab import brown, cli, linalg, measures
 from dtlab.brown import DensityField, GridSpec
-from dtlab.errors import ConfigError
+
 
 DELTA0 = measures.CompactMeasure.dirac(0.0)
 
@@ -195,7 +195,7 @@ def test_covering_grid_is_accepted_and_needs_positive_regularization():
     assert grid.dx <= 0.25
     assert brown.brown_logdet_grid(a, grid, 0.25).mass > 0.0
     for bad in (0.0, -0.1):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             GridSpec.covering(a, bad)
 
 
@@ -208,13 +208,13 @@ def test_grid_rejects_degenerate_shapes():
 
 def test_grid_spacing_must_resolve_the_regularization():
     a = uniform_disk_matrix(32)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         brown.brown_logdet_grid(a, GridSpec.square(1.5, 8), delta_reg=1e-9)
 
 
 def test_grid_must_cover_the_spectrum():
     a = uniform_disk_matrix(32)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         brown.brown_logdet_grid(a, GridSpec.square(0.2, 64), delta_reg=0.05)
 
 

@@ -503,14 +503,20 @@ def test_abbreviated_config_flag_is_refused(tmp_path, capsys):
         ["scan", "--k", 8, "--bigN", 2, "--eps-grid", 0.5],
         ["eeps", "--points", "pts.csv", "--gen-k", 4],
         ["sample", "--k", 8, "--moment-order", 0],
+        ["eeps", "--points", "dup.csv", "--eps", 1e-200, "--trials", 200],
     ],
     ids=[
         "sample-k", "brown-eps", "freeness-order", "eeps-trials", "selberg-grid",
         "brown-delta-reg", "selberg-empty-grid", "selberg-one-size",
         "scan-no-admissible-eps", "eeps-points-and-gen-k", "sample-moment-order",
+        "eeps-inseparable-points",
     ],
 )
-def test_library_precondition_errors_exit_two(tmp_path, capsys, argv):
+def test_library_precondition_errors_exit_two(tmp_path, monkeypatch, capsys, argv):
+    # Two equal points: at eps 1e-200 every squared separation underflows, so
+    # the Monte Carlo cannot draw a nondegenerate sample.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dup.csv").write_text("0.5,0\n0.5,0\n0,-0.5\n")
     # A refused run writes nothing, not even the --out directory.
     out = tmp_path / "o"
     assert run(*argv, "--seed", 1, "--out", out) == 2

@@ -14,7 +14,6 @@ import pytest
 from scipy.special import logsumexp, roots_legendre
 
 from dtlab import dyson
-from dtlab.errors import ConfigError
 from dtlab.rng import substream
 
 
@@ -187,6 +186,14 @@ def test_mc_two_coincident_points_match_truth():
     assert est.resampled == 0
 
 
+def test_mc_refuses_points_it_cannot_separate():
+    # Two equal points at eps = 1e-200: every squared separation underflows
+    # to zero, so no draw is nondegenerate.
+    pts = np.array([0.5 + 0j, 0.5 + 0j, -0.5j])
+    with pytest.raises(ValueError, match="nondegenerate"):
+        dyson.log_separation_integral_mc(pts, 1e-200, trials=200, seed=1)
+
+
 def test_mc_jensen_sits_below_unbiased():
     pts = np.array([0.1 + 0.2j, -0.3j, 0.4 - 0.1j])
     est = dyson.log_separation_integral_mc(pts, 0.5, trials=5000, seed=2)
@@ -287,7 +294,7 @@ def test_mc_matches_the_gather_kernel_bit_for_bit(points, eps, trials):
 def test_lower_bound_preconditions():
     pts = np.array([0.1 + 0.2j, -0.3j])
     for eps, delta in ((0.2, 0.3), (0.05, 1.5), (0.0, 0.5), (0.1, 0.3)):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             dyson.separation_integral_lower_bound(pts, eps, delta)
 
 
@@ -329,5 +336,5 @@ def test_schedule_keeps_the_chain_admissible():
 
 def test_schedule_rejects_out_of_range():
     for eps in (0.0, -1.0, 0.02, 1.0):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             dyson.delta_schedule(eps)

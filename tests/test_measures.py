@@ -457,6 +457,39 @@ def test_cloud_and_disk_close_pair_mass_against_brute_force():
         )
 
 
+def uniform_disk_draws(rng, center: complex, radius: float, n: int) -> np.ndarray:
+    return center + radius * np.sqrt(rng.random(n)) * np.exp(2j * math.pi * rng.random(n))
+
+
+@pytest.mark.parametrize(
+    "c1, r1, c2, r2, delta",
+    [
+        (0j, 1.0, 0.8 + 0j, 0.5, 0.3),
+        (0j, 0.4, 1.2 + 0.5j, 1.1, 0.5),
+        (1j, 0.7, -0.3 + 1j, 0.7, 0.2),
+        (0j, 1.5, 0.2 - 0.1j, 0.3, 0.6),
+    ],
+)
+def test_disk_disk_pair_prob_against_monte_carlo(c1, r1, c2, r2, delta):
+    # 4e6 independent uniform pairs, drawn by inverse-CDF radii, estimate
+    # P(|w1 - w2| < delta) with no lens area; both argument orders must sit
+    # within 6 standard errors of it.
+    p, q = measures.DiskPart(c1, r1, 0.5), measures.DiskPart(c2, r2, 0.5)
+    rng = np.random.default_rng(11)
+    draws, hits = 4 * 10**6, 0
+    for _ in range(4):
+        w1 = uniform_disk_draws(rng, c1, r1, draws // 4)
+        w2 = uniform_disk_draws(rng, c2, r2, draws // 4)
+        hits += int((np.abs(w1 - w2) < delta).sum())
+    estimate = hits / draws
+    sigma = math.sqrt(estimate * (1.0 - estimate) / draws)
+    assert estimate > 0.01
+    for a, b in ((p, q), (q, p)):
+        assert measures._diffuse_pair_prob(a, b, delta) == pytest.approx(
+            estimate, abs=6.0 * sigma
+        )
+
+
 # ----------------------------------------------------------------------------
 # Sampling
 
