@@ -37,6 +37,11 @@ __all__ = [
 #: Evenly spaced t at which ``radial_cdf_curve`` samples F(t) on [0, 1.5].
 _RADIAL_CURVE_POINTS = 151
 
+#: Ceiling on cells x k^3, the LU work of a covering grid's log-det field.
+#: At k = 256 a cell takes about 1.6 ms on two cores, so the ceiling is
+#: about 100 s of factorizations.
+MAX_GRID_COST = 1e12
+
 
 @dataclass(frozen=True, eq=False)
 class MicrostatePair:
@@ -78,7 +83,8 @@ def perturbed_microstate(
             "measure has no atoms: perturbation is empty and z equals y",
             stacklevel=2,
         )
-    # z = y + eps * p, built in p's buffer: no k x k temporaries.
+    # z = y + eps * p, built in p's buffer; only norm2(z - y) below makes a
+    # k x k temporary.
     z = p
     z *= eps
     z += y
@@ -122,11 +128,22 @@ class GridSpec:
     def covering(cls, a, delta_reg: float) -> "GridSpec":
         """Square grid of spacing delta_reg around the origin that covers
         the spectrum of a, as :func:`brown_logdet_grid` requires, with two
-        spare cells beyond it on every side."""
+        spare cells beyond it on every side.  Refuses a grid whose cells x
+        k^3 exceeds ``MAX_GRID_COST``."""
         if not (delta_reg > 0):
             raise ValueError(f"delta_reg must be positive, got {delta_reg}")
         half = _covering_radius(a) + 2.0 * delta_reg
-        return cls.square(half, int(math.ceil(2.0 * half / delta_reg)) + 1)
+        k = np.shape(a)[0]
+        span = 2.0 * half / delta_reg
+        n = math.ceil(span) + 1 if math.isfinite(span) else math.inf
+        cost = float(n) * n * k**3
+        if cost > MAX_GRID_COST:
+            raise ValueError(
+                f"the covering grid of {float(n):.4g}^2 cells at k = {k} costs "
+                f"{cost:.3g} cells x k^3 of LU work, above the ceiling "
+                f"{MAX_GRID_COST:.0e}; raise delta_reg"
+            )
+        return cls.square(half, n)
 
     @property
     def dx(self) -> float:
@@ -159,20 +176,20 @@ class DensityField:
 
 
 def _logdet_row(xs, y, delta_reg, parts):
-    """u on the grid row at height y."""
+    """u on the grid row at height y, factoring one cell's matrix at a time."""
     g, s, kk = parts
     k = g.shape[0]
     # Cell x: (G - y K) - x S + (x^2 + y^2 + delta^2) I.
-    base = g - y * kk
+    base = y * kk
+    np.subtract(g, base, out=base)
     shift = xs * xs + (y * y + delta_reg * delta_reg)
+    h = np.empty_like(base)
     out = np.empty(len(xs))
-    budget = max(1, (64 << 20) // (16 * k * k))
-    for lo in range(0, len(xs), budget):
-        hi = min(lo + budget, len(xs))
-        h = np.multiply(xs[lo:hi, None, None], s[None, :, :])
-        np.subtract(base[None, :, :], h, out=h)
-        h.reshape(hi - lo, k * k)[:, :: k + 1] += shift[lo:hi, None]
-        out[lo:hi] = 0.5 * linalg.lu_logabsdet_stack(h) / k
+    for i, x in enumerate(xs):
+        np.multiply(x, s, out=h)
+        np.subtract(base, h, out=h)
+        h.reshape(-1)[:: k + 1] += shift[i]
+        out[i] = 0.5 * linalg.lu_logabsdet_stack(h) / k
     return out
 
 

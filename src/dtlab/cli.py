@@ -93,6 +93,8 @@ def cmd_sample(args: argparse.Namespace, out: Path, config: dict) -> int:
 
 
 def cmd_brown(args: argparse.Namespace, out: Path, config: dict) -> int:
+    if not (args.threshold > 0):
+        raise ValueError(f"--threshold must be positive, got {args.threshold}")
     mu = _parse_mu(args)
     pair = brown.perturbed_microstate(mu, args.c, args.eps, args.k, args.seed)
     grid = brown.GridSpec.covering(pair.z, args.delta_reg) if args.density else None
@@ -263,6 +265,8 @@ def cmd_scan(args: argparse.Namespace, out: Path, config: dict) -> int:
 
 
 def _build_family(args: argparse.Namespace) -> list[np.ndarray]:
+    if args.k < 1:
+        raise ValueError(f"--k must be >= 1, got {args.k}")
     mu = _parse_mu(args)
     family: list[np.ndarray] = []
     for i, kind in enumerate(args.members):

@@ -58,8 +58,14 @@ class DTParams:
 
 
 def _complex_normal(rng: np.random.Generator, shape, variance: float) -> np.ndarray:
-    scale = math.sqrt(variance / 2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    """sqrt(variance / 2) * (a + 1j * b) for standard normal draws a, then b,
+    built in one complex buffer through one float scratch array."""
+    draws = rng.standard_normal(shape)
+    out = np.empty(shape, dtype=np.complex128)
+    out.real = draws
+    out.imag = rng.standard_normal(shape, out=draws)
+    out *= math.sqrt(variance / 2.0)
+    return out
 
 
 def _ginibre(rng: np.random.Generator, k: int, variance: float) -> np.ndarray:
@@ -76,8 +82,11 @@ def sample_ginibre(k: int, variance: float, seed: int) -> np.ndarray:
 
 
 def _strict_upper(rng: np.random.Generator, k: int, c: float) -> np.ndarray:
-    base = _ginibre(rng, k, 1.0 / k)
-    return c * np.triu(base, 1)
+    """c * np.triu(Ginibre draw, 1), scaled and zeroed in place."""
+    out = _ginibre(rng, k, 1.0 / k)
+    out *= c
+    np.copyto(out, 0, where=np.tri(k, dtype=bool))
+    return out
 
 
 def sample_strict_upper(k: int, c: float, seed: int) -> np.ndarray:
@@ -106,15 +115,22 @@ def sample_diagonal(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    points = measures._sample_points(substream(seed, 0), mu, k, mode)
-    return np.diag(points.astype(np.complex128))
+    return np.diag(_diagonal_points(mu, k, mode, seed).astype(np.complex128))
+
+
+def _diagonal_points(mu: CompactMeasure, k: int, mode: str, seed: int) -> np.ndarray:
+    return measures._sample_points(substream(seed, 0), mu, k, mode)
 
 
 def sample_dt(params: DTParams, mode: str = "quantile") -> np.ndarray:
     """One draw of the diagonal-plus-strictly-upper model."""
-    diag = sample_diagonal(params.mu, params.k, mode, params.seed)
-    upper = sample_strict_upper(params.k, params.c, params.seed)
-    return diag + upper
+    k = params.k
+    z = sample_strict_upper(k, params.c, params.seed)
+    # Adding +0 turns entries that underflowed to -0 (c below about 1e-300)
+    # into +0, as adding a diagonal matrix to the strictly upper part would.
+    z += 0.0
+    z.reshape(-1)[:: k + 1] += _diagonal_points(params.mu, k, mode, params.seed)
+    return z
 
 
 def assemble_block_dt(
@@ -238,9 +254,12 @@ class _TraceEngine:
     ``products`` lists them, each of at most ceil(L/2) letters.
 
     Products are streamed in blocks R of _ROW_BLOCK rows,
-    P[w][R] = P[w minus its last letter][R] @ (last letter), with adjoint
-    letters taken from one conjugate-transposed copy per member, and each
-    trace sums its blocks' inner products in block order.  A block's inner
+    P[w][R] = P[w minus its last letter][R] @ (last letter), and each trace
+    sums its blocks' inner products in block order.  No member is copied
+    (save for a one-row block, below): an adjoint letter's rows are the
+    conjugated columns of its member, and a product ending in m* is
+    conj(conj(X) @ m.T), with m.T a view of m.  Both give the bytes that
+    products with a conjugate-transposed copy of m gave.  A block's inner
     product is numpy's elementwise product and pairwise sum, not a BLAS dot,
     so no trace depends on the BLAS thread count.
     """
@@ -258,21 +277,36 @@ class _TraceEngine:
 
     def _stream(self, mats: list[np.ndarray], choice: dict) -> dict:
         k = self.k
-        full = {(i, False): m for i, m in enumerate(mats)}
-        for pair in choice.values():
-            for i, adj in itertools.chain(*pair):
-                if adj and (i, True) not in full:
-                    full[i, True] = np.conj(mats[i].T, order="C")
+        letters = {x for pair in choice.values() for x in itertools.chain(*pair)}
+        adjoints = sorted((letter,) for letter in letters if letter[1])
         rows = min(_ROW_BLOCK, k)
-        buf = {w: np.empty((rows, k), dtype=np.complex128) for w in self.products}
+        buf = {w: np.empty((rows, k), np.complex128) for w in adjoints + self.products}
         work = np.empty((rows, k), dtype=np.complex128)
         sums = dict.fromkeys(choice, 0j)
         for r0 in range(0, k, rows):
             n = min(rows, k - r0)
-            block = {(letter,): m[r0 : r0 + n] for letter, m in full.items()}
-            for w in self.products:
-                block[w] = np.matmul(block[w[:-1]], full[w[-1]], out=buf[w][:n])
             t = work[:n]
+            block = {((i, False),): m[r0 : r0 + n] for i, m in enumerate(mats)}
+            for w in adjoints:
+                # Rows R of m* are the conjugated columns R of m.
+                columns = mats[w[0][0]][:, r0 : r0 + n]
+                block[w] = np.conjugate(columns.T, out=buf[w][:n])
+            for w in self.products:
+                (i, adj), out = w[-1], buf[w][:n]
+                if not adj:
+                    block[w] = np.matmul(block[w[:-1]], mats[i], out=out)
+                elif n == 1:
+                    # numpy multiplies one row by matrix-vector BLAS, whose
+                    # summation order follows the matrix's layout, so a
+                    # one-row block takes m* in its own layout, as a copy.
+                    block[w] = np.matmul(
+                        block[w[:-1]], np.conj(mats[i].T, order="C"), out=out
+                    )
+                else:
+                    # X m* = conj(conj(X) m^T), with m^T a view of m.
+                    np.conjugate(block[w[:-1]], out=t)
+                    np.matmul(t, mats[i].T, out=out)
+                    block[w] = np.conjugate(out, out=out)
             for key, (x, y) in choice.items():
                 np.conjugate(block[x], out=t)
                 t *= block[y]

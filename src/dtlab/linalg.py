@@ -90,14 +90,18 @@ def as_square_matrix(a, name: str = "a") -> np.ndarray:
 
 def norm2(a) -> float:
     """Normalized trace norm tr_k(a* a)^(1/2) == ||a||_F / sqrt(k); where the plain
-    sum of squares under- or overflows, a is first divided by its largest modulus."""
+    sum of squares under- or overflows, the real and imaginary parts of a are
+    first scaled exactly by the power of two that brings its largest modulus
+    into [1/2, 1), subnormal moduli included."""
     m = as_square_matrix(a)
     with np.errstate(over="ignore"):
         frob = float(np.linalg.norm(m))
     if not sys.float_info.min <= frob * frob < math.inf:
         scale = float(np.abs(m).max())
         if 0 < scale < math.inf:
-            frob = scale * float(np.linalg.norm(m / scale))
+            e = math.frexp(scale)[1]
+            parts = np.ascontiguousarray(m).view(np.float64)
+            frob = math.ldexp(float(np.linalg.norm(np.ldexp(parts, -e))), e)
     return frob / math.sqrt(m.shape[0])
 
 

@@ -7,6 +7,7 @@ known in closed form.
 
 import json
 import math
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -199,6 +200,17 @@ def test_covering_grid_is_accepted_and_needs_positive_regularization():
             GridSpec.covering(a, bad)
 
 
+@pytest.mark.parametrize("delta_reg", [1e-3, 1e-300, 5e-324])
+def test_covering_grid_refuses_a_cost_above_the_ceiling(delta_reg):
+    # 2 half / delta_reg is 2088 cells per axis at 1e-3 and infinite at
+    # 5e-324.  The README's brown example costs 3.4e10 cells x k^3.
+    a = uniform_disk_matrix(256)
+    with pytest.raises(ValueError, match="ceiling"):
+        GridSpec.covering(a, delta_reg)
+    grid = GridSpec.covering(a, 0.2)
+    assert grid.nx * grid.ny * 256**3 <= brown.MAX_GRID_COST
+
+
 def test_grid_rejects_degenerate_shapes():
     with pytest.raises(ValueError):
         GridSpec(0, 1, 0, 1, 1, 4)
@@ -217,6 +229,57 @@ def test_grid_must_cover_the_spectrum():
     with pytest.raises(ValueError):
         brown.brown_logdet_grid(a, GridSpec.square(0.2, 64), delta_reg=0.05)
 
+
+
+def stacked_logdet_row(xs, y, delta_reg, parts):
+    """u on a grid row with up to 64 MB of cell matrices factored as one stack."""
+    g, s, kk = parts
+    k = g.shape[0]
+    base = g - y * kk
+    shift = xs * xs + (y * y + delta_reg * delta_reg)
+    out = np.empty(len(xs))
+    budget = max(1, (64 << 20) // (16 * k * k))
+    for lo in range(0, len(xs), budget):
+        hi = min(lo + budget, len(xs))
+        h = np.multiply(xs[lo:hi, None, None], s[None, :, :])
+        np.subtract(base[None, :, :], h, out=h)
+        h.reshape(hi - lo, k * k)[:, :: k + 1] += shift[lo:hi, None]
+        out[lo:hi] = 0.5 * linalg.lu_logabsdet_stack(h) / k
+    return out
+
+
+def grid_test_matrix(k: int) -> np.ndarray:
+    """Strictly upper Gaussian plus a half-scale Ginibre part."""
+    rng = np.random.default_rng(k)
+    g = [rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)) for _ in "ab"]
+    return (np.triu(g[0], 1) + 0.5 * g[1]) / math.sqrt(2 * k)
+
+
+@pytest.mark.parametrize("k", [1, 7, 64])
+def test_logdet_grid_cell_by_cell_matches_the_stacked_factorization(monkeypatch, k):
+    a = grid_test_matrix(k)
+    grid = GridSpec.covering(a, 0.1)
+    field = brown.brown_logdet_grid(a, grid, 0.1)
+    monkeypatch.setattr(brown, "_logdet_row", stacked_logdet_row)
+    stacked = brown.brown_logdet_grid(a, grid, 0.1)
+    assert field.values.tobytes() == stacked.values.tobytes()
+
+
+def test_logdet_grid_peak_memory_stays_a_few_matrices():
+    # a* a, a + a*, i (a* - a), a*, one row base and one cell matrix: 6.0
+    # k x k complex matrices at k = 256, where stacking the 16 cells of a
+    # row took 21.2.
+    k = 256
+    a = grid_test_matrix(k)
+    grid = GridSpec.covering(a, 0.2)
+    assert (grid.nx, grid.ny) == (16, 16)
+    tracemalloc.start()
+    try:
+        brown.brown_logdet_grid(a, grid, 0.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * k * k * 16
 
 
 def test_density_field_csv_layout(tmp_path):

@@ -11,13 +11,14 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dtlab import cli, dyson, ensembles, measures
+from dtlab import brown, cli, dyson, ensembles, linalg, measures
 
 
 def run(*argv) -> int:
@@ -231,6 +232,39 @@ def test_brown_at_an_eps_whose_square_underflows(tmp_path):
     assert sorted(p.name for p in out.iterdir()) == [
         "eigenvalues.csv", "radial_cdf.csv", "verdict.json",
     ]
+
+
+def test_brown_perturbation_norm_at_a_subnormal_eps_is_valid_json(tmp_path):
+    # z - y has subnormal entries near 1e-320; norm2 used to divide them by
+    # their subnormal largest modulus, which overflowed, and wrote NaN.
+    out = tmp_path / "b"
+    run("brown", "--seed", 1, "--k", 8, "--eps", 1e-320, "--no-density", "--out", out)
+
+    def refuse(name):
+        raise ValueError(f"verdict.json holds {name}")
+
+    verdict = json.loads((out / "verdict.json").read_text(), parse_constant=refuse)
+    assert 0.0 < verdict["perturbation_norm"] <= 1e-320
+
+
+def test_brown_refuses_a_density_grid_above_the_cost_ceiling(
+    tmp_path, monkeypatch, capsys
+):
+    # At k = 256, delta_reg 1e-3 asks for 2089^2 cells, hours of LU work.
+    # The refusal comes from the covering grid, before any eigenvalue or
+    # factorization and before the first file.
+    def never(*args, **kwargs):
+        raise AssertionError("a refused run reached the solvers")
+
+    monkeypatch.setattr(linalg, "eigenvalues", never)
+    monkeypatch.setattr(brown, "brown_logdet_grid", never)
+    out = tmp_path / "b"
+    start = time.perf_counter()
+    assert run("brown", "--seed", 1, "--k", 256, "--delta-reg", 1e-3, "--out", out) == 2
+    assert time.perf_counter() - start < 30
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "ceiling" in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 # ----------------------------------------------------------------------------
@@ -504,12 +538,17 @@ def test_abbreviated_config_flag_is_refused(tmp_path, capsys):
         ["eeps", "--points", "pts.csv", "--gen-k", 4],
         ["sample", "--k", 8, "--moment-order", 0],
         ["eeps", "--points", "dup.csv", "--eps", 1e-200, "--trials", 200],
+        ["freeness", "--k", 0],
+        ["brown", "--k", 8, "--threshold", -1],
+        ["brown", "--k", 8, "--threshold", "nan"],
+        ["brown", "--k", 8, "--delta-reg", 1e-300],
     ],
     ids=[
         "sample-k", "brown-eps", "freeness-order", "eeps-trials", "selberg-grid",
         "brown-delta-reg", "selberg-empty-grid", "selberg-one-size",
         "scan-no-admissible-eps", "eeps-points-and-gen-k", "sample-moment-order",
-        "eeps-inseparable-points",
+        "eeps-inseparable-points", "freeness-k", "brown-negative-threshold",
+        "brown-nan-threshold", "brown-grid-cost",
     ],
 )
 def test_library_precondition_errors_exit_two(tmp_path, monkeypatch, capsys, argv):

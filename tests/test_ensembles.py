@@ -7,6 +7,7 @@ share no construction code.
 """
 
 import itertools
+import math
 import re
 import tracemalloc
 from functools import reduce
@@ -15,7 +16,8 @@ import numpy as np
 import pytest
 
 from dtlab import ensembles, measures
-from dtlab.ensembles import DTParams
+from dtlab.ensembles import DTParams, _adjoint, _rotations
+from dtlab.rng import substream
 
 DELTA0 = measures.CompactMeasure.dirac(0.0)
 
@@ -328,21 +330,175 @@ def test_freeness_check_across_row_blocks(monkeypatch, k, row_block, order):
     _check_against_brute_force(_ginibre_family(k, 2, seed=order), order)
 
 
-def test_freeness_check_peak_memory_stays_a_few_matrices():
-    # The engine holds one conjugate-transposed copy of each member and
-    # _ROW_BLOCK rows of each product it forms (9 at order 4).  At k = 256
-    # its peak traced allocation measured 4.7 k x k complex matrices; an
-    # engine that keeps every half-word product and its adjoint as a full
-    # matrix measured 18.3.
-    k = 256
-    fam = _ginibre_family(k, 2, seed=1)
+def traced_peak(fn) -> int:
+    """Peak bytes of traced allocation while fn() runs."""
     tracemalloc.start()
     try:
-        ensembles.freeness_check(fam, order=4, gamma=1.0)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6 * k * k * 16
+
+
+def test_freeness_check_peak_memory_stays_a_few_matrices():
+    # The engine holds _ROW_BLOCK rows of each product it forms (9 at order
+    # 4), of each adjoint letter and of one scratch block: 3.3 k x k complex
+    # matrices at k = 256, where 64 rows are a quarter matrix.  An engine
+    # that also kept a conjugate-transposed copy of each member measured
+    # 4.7, and one that kept every half-word product and its adjoint as a
+    # full matrix measured 18.3.
+    k = 256
+    fam = _ginibre_family(k, 2, seed=1)
+    peak = traced_peak(lambda: ensembles.freeness_check(fam, order=4, gamma=1.0))
+    assert peak <= 4 * k * k * 16
+
+
+LAYER_PEAKS = [
+    # (layer, call at k = 512, bound in k x k complex matrices); measured
+    # 1.50, 1.50, 1.58 and 0.66, against 3.06, 2.03, 3.31 and 1.50 for
+    # samplers that summed whole-matrix temporaries and an engine that
+    # copied each member's conjugate transpose.
+    pytest.param(
+        lambda fam: ensembles.sample_dt(DTParams(DELTA0, 1.0, 512, 1)), 1.6,
+        id="sample_dt",
+    ),
+    pytest.param(
+        lambda fam: ensembles.sample_ginibre(512, 1.0 / 512, 1), 1.6,
+        id="sample_ginibre",
+    ),
+    pytest.param(
+        lambda fam: ensembles.freeness_check(fam, order=4, gamma=1.0), 2.0,
+        id="freeness_check-order-4",
+    ),
+    pytest.param(
+        lambda fam: ensembles.star_moment_table(fam[0], 4), 1.0,
+        id="star_moment_table-4-letters",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, bound", LAYER_PEAKS)
+def test_layer_peak_memory_at_k_512(call, bound):
+    fam = _ginibre_family(512, 2, seed=2)
+    assert traced_peak(lambda: call(fam)) <= bound * 512 * 512 * 16
+
+
+# ----------------------------------------------------------------------------
+# Same bytes as the whole-matrix samplers and the copy-based trace engine
+
+
+def reference_complex_normal(rng, shape, variance):
+    scale = math.sqrt(variance / 2.0)
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def reference_strict_upper(rng, k, c):
+    base = reference_complex_normal(rng, (k, k), 1.0 / k)
+    return c * np.triu(base, 1)
+
+
+def reference_sample_dt(params, mode):
+    diag = ensembles.sample_diagonal(params.mu, params.k, mode, params.seed)
+    upper = reference_strict_upper(substream(params.seed, 1), params.k, params.c)
+    return diag + upper
+
+
+class CopyEngine(ensembles._TraceEngine):
+    """The trace engine with adjoint letters read from one conjugate-
+    transposed copy of each member."""
+
+    def _stream(self, mats, choice):
+        k = self.k
+        full = {(i, False): m for i, m in enumerate(mats)}
+        for pair in choice.values():
+            for i, adj in itertools.chain(*pair):
+                if adj and (i, True) not in full:
+                    full[i, True] = np.conj(mats[i].T, order="C")
+        rows = min(ensembles._ROW_BLOCK, k)
+        buf = {w: np.empty((rows, k), dtype=np.complex128) for w in self.products}
+        work = np.empty((rows, k), dtype=np.complex128)
+        sums = dict.fromkeys(choice, 0j)
+        for r0 in range(0, k, rows):
+            n = min(rows, k - r0)
+            block = {(letter,): m[r0 : r0 + n] for letter, m in full.items()}
+            for w in self.products:
+                block[w] = np.matmul(block[w[:-1]], full[w[-1]], out=buf[w][:n])
+            t = work[:n]
+            for key, (x, y) in choice.items():
+                np.conjugate(block[x], out=t)
+                t *= block[y]
+                sums[key] += complex(t.sum())
+        real = {key for key in sums if key in _rotations(_adjoint(key))}
+        return {key: (complex(v.real) if key in real else v) / k
+                for key, v in sums.items()}
+
+
+def same_bytes(a, b) -> bool:
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+SIZES = [1, 2, 63, 64, 65, 200]
+README_MIXTURE = measures.parse_measure_spec(["atom:0,0,0.5", "disk:0,0,1,0.5"])
+
+
+@pytest.mark.parametrize("k", SIZES)
+@pytest.mark.parametrize("variance", [1e-320, 1e-300, 1.0])
+def test_gaussian_samplers_write_the_bytes_of_the_whole_matrix_formulas(k, variance):
+    # The tiny variances put entries near 1e-160.  At c = 5e-324 and 1e-320
+    # most products c * entry underflow to zero.  Their sign is not pinned:
+    # numpy fuses one real multiply of a complex product in its vector loop
+    # and not in its unaligned head, so it follows the buffer's address.
+    # sample_dt adds +0 to every entry, as the sum with a diagonal matrix
+    # did, so its bytes are pinned at every c.
+    assert same_bytes(
+        ensembles._complex_normal(substream(k, 9), (k, 3), variance),
+        reference_complex_normal(substream(k, 9), (k, 3), variance),
+    )
+    assert same_bytes(
+        ensembles.sample_ginibre(k, variance, seed=k),
+        reference_complex_normal(substream(k, 2), (k, k), variance),
+    )
+    for c in (5e-324, 1e-320, math.sqrt(variance), 2.5):
+        if c > 1e-300:
+            assert same_bytes(
+                ensembles.sample_strict_upper(k, c, seed=k),
+                reference_strict_upper(substream(k, 1), k, c),
+            )
+        for mu, mode in ((README_MIXTURE, "quantile"), (README_MIXTURE, "iid"),
+                         (DELTA0, "quantile")):
+            params = DTParams(mu, c, k, seed=k + 1)
+            assert same_bytes(
+                ensembles.sample_dt(params, mode), reference_sample_dt(params, mode)
+            )
+
+
+ENGINE_WORDS = [
+    word
+    for length in range(1, 6)
+    for word in itertools.product(
+        [(i, adj) for i in range(2) for adj in (False, True)], repeat=length
+    )
+]
+
+
+@pytest.mark.parametrize("k", SIZES)
+@pytest.mark.parametrize("row_block", [64, 3])
+def test_trace_engine_writes_the_bytes_of_the_copy_based_engine(
+    monkeypatch, k, row_block
+):
+    # Blocks of 3 rows leave a ragged last block of 1 or 2 rows at every
+    # size but 63; blocks of 64 leave one of 1 row at k = 65.
+    monkeypatch.setattr(ensembles, "_ROW_BLOCK", row_block)
+    fam = [
+        ensembles.sample_ginibre(k, 1.0 / k, seed=k),
+        ensembles.sample_dt(DTParams(README_MIXTURE, 1.0, k, seed=k)),
+    ]
+    engine = ensembles._TraceEngine(fam, ENGINE_WORDS)
+    reference = CopyEngine(fam, ENGINE_WORDS)
+    assert same_bytes(
+        [engine.trace(w) for w in ENGINE_WORDS],
+        [reference.trace(w) for w in ENGINE_WORDS],
+    )
 
 
 def test_trace_engine_matches_full_products_on_mixed_words():

@@ -114,9 +114,12 @@ def mp_norm2(a: np.ndarray) -> float:
         return float(mpmath.sqrt(total / a.shape[0]))
 
 
-@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160, 1e160, 1e200])
+@pytest.mark.parametrize(
+    "scale", [1e-320, 1e-310, 1e-300, 1e-200, 1e-160, 1e160, 1e200]
+)
 def test_norm2_where_the_sum_of_squares_leaves_the_normal_range(scale):
     # The squares of these entries underflow or overflow; norm2 rescales.
+    # At 1e-310 and 1e-320 the largest modulus is subnormal.
     flat = np.full((16, 16), scale * (1 + 3j))
     assert linalg.norm2(flat) == pytest.approx(mp_norm2(flat), rel=1e-14, abs=0)
     mixed = scale * random_complex(16, 4)
