@@ -7,12 +7,15 @@ reduction to Hessenberg form, then the small-bulge multishift QR algorithm
 with aggressive early deflation of Braman, Byers and Mathias (SIAM J. Matrix
 Anal. Appl. 23(4), 2002), the design of LAPACK's xLAQR0.  Small blocks, and
 the deflation windows themselves, are finished by explicitly shifted
-single-shift QR with Wilkinson shifts.  Shifts, deflation and the bulge
-chase are written here; from LAPACK only the plane-rotation auxiliaries
-``zlartg`` (generate) and ``zrot`` (apply) are called, in single-shift QR
-and in the swaps of the deflation windows, and no LAPACK eigenvalue or
-Schur routine is.  The LU-based log-determinant is the deliberately
-separate second route used by the density-field estimator.
+single-shift QR with Wilkinson shifts.  Small means below
+``_MULTISHIFT_MIN`` = 96 rows when the Schur vectors are kept, and below
+``_EIG_MULTISHIFT_MIN`` = 416 for eigenvalues alone, where single-shift QR
+rotates only the active block and outruns the bulge chase.  Shifts,
+deflation and the bulge chase are written here; from LAPACK only the
+plane-rotation auxiliaries ``zlartg`` (generate) and ``zrot`` (apply) are
+called, in single-shift QR and in the swaps of the deflation windows, and
+no LAPACK eigenvalue or Schur routine is.  The LU-based log-determinant is
+the deliberately separate second route used by the density-field estimator.
 
 Intended scale is dense matrices up to a couple thousand rows in double
 precision.
@@ -45,8 +48,13 @@ _SHIFTS_PER_DIM = 30
 #: Single-shift sweeps without a deflation before an exceptional shift.
 _STALL_PERIOD = 16
 #: Smallest active block for multishift QR with aggressive early deflation
-#: (AED); smaller blocks and all AED windows use single-shift QR.
+#: (AED) when the Schur vectors are kept; smaller blocks, and so every AED
+#: window, use single-shift QR.
 _MULTISHIFT_MIN = 96
+#: The same for eigenvalue-only solves.  Single-shift QR there rotates only
+#: the active block, and it outruns multishift QR, whose chase spends about
+#: 20 numpy calls on each step of a few bulges, up to about this size.
+_EIG_MULTISHIFT_MIN = 416
 #: Most shifts per multishift sweep, and most bulges chased as one chain.
 _MAX_SHIFTS = 64
 _CHAIN = 32
@@ -262,18 +270,6 @@ def _span(h: np.ndarray, q: np.ndarray | None, lo: int, hi: int) -> tuple[int, i
     return (lo, hi) if q is None else (0, h.shape[0])
 
 
-def _rotate_rows(flat, n, i, c0, c1, c, s) -> None:
-    """Left-multiply rows i, i + 1, columns [c0, c1) of a C-contiguous n x n
-    matrix, given as its flat buffer, by [[c, s], [-conj(s), c]] in place."""
-    zrot(flat, flat, c, s, c1 - c0, i * n + c0, 1, (i + 1) * n + c0, 1, 1, 1)
-
-
-def _rotate_columns(flat, n, r0, r1, j, c, s) -> None:
-    """Right-multiply columns j, j + 1, rows [r0, r1) of a C-contiguous n x n
-    matrix, given as its flat buffer, by [[c, -conj(s)], [s, c]] in place."""
-    zrot(flat, flat, c, s, r1 - r0, r0 * n + j, n, r0 * n + j + 1, n, 1, 1)
-
-
 def _qr_sweep(
     h: np.ndarray, q: np.ndarray | None, lo: int, hi: int, shift: complex
 ) -> None:
@@ -291,25 +287,26 @@ def _qr_sweep(
     qflat = None if q is None else q.reshape(-1)
     diag = flat[lo * (n + 1) : (hi - 1) * (n + 1) + 1 : n + 1]
     diag -= shift
-    item = h.item
+    item = flat.item
     # (c, conj(s)) of the last row rotation, whose columns are still to do.
     pending = None
-    for i in range(lo, hi - 1):
-        c, s, _ = zlartg(item(i, i), item(i + 1, i))
+    for i in range(lo, hi):
         adj = None
-        if s != 0.0:
-            _rotate_rows(flat, n, i, i, col_end, c, s)
-            h[i + 1, i] = 0.0
-            adj = c, s.conjugate()
+        if i < hi - 1:
+            ii = i * (n + 1)  # flat offset of h[i, i]; h[i + 1, i] is at ii + n
+            c, s, _ = zlartg(item(ii), item(ii + n))
+            if s != 0.0:
+                zrot(flat, flat, c, s, col_end - i, ii, 1, ii + n, 1, 1, 1)
+                flat[ii + n] = 0.0
+                adj = c, s.conjugate()
         if pending is not None:
-            _rotate_columns(flat, n, row_start, i + 1, i - 1, *pending)
+            # Columns i - 1 and i, rows [row_start, i + 1) of h and all of q.
+            c, s = pending
+            top = row_start * n + i - 1
+            zrot(flat, flat, c, s, i + 1 - row_start, top, n, top + 1, n, 1, 1)
             if qflat is not None:
-                _rotate_columns(qflat, n, 0, n, i - 1, *pending)
+                zrot(qflat, qflat, c, s, n, i - 1, n, i, n, 1, 1)
         pending = adj
-    if pending is not None:
-        _rotate_columns(flat, n, row_start, hi, hi - 2, *pending)
-        if qflat is not None:
-            _rotate_columns(qflat, n, 0, n, hi - 2, *pending)
     diag += shift
 
 
@@ -397,10 +394,13 @@ def _swap_up(t: np.ndarray, v: np.ndarray, j: int, i: int) -> None:
         t22 = t[k + 1, k + 1]
         c, s, _ = zlartg(t.item(k, k + 1), t22 - t11)
         if k + 2 < n:
-            _rotate_rows(flat, n, k, k + 2, n, c, s)
+            # Rows k, k + 1 right of the swapped pair.
+            kk = k * (n + 1) + 2
+            zrot(flat, flat, c, s, n - k - 2, kk, 1, kk + n, 1, 1, 1)
         s = s.conjugate()
-        _rotate_columns(flat, n, 0, k, k, c, s)
-        _rotate_columns(vflat, n, 0, n, k, c, s)
+        # Columns k, k + 1 above the pair, and all of v's.
+        zrot(flat, flat, c, s, k, k, n, k + 1, n, 1, 1)
+        zrot(vflat, vflat, c, s, n, k, n, k + 1, n, 1, 1)
         t[k, k] = t22
         t[k + 1, k + 1] = t11
 
@@ -559,7 +559,8 @@ def _triangularize(h: np.ndarray, q: np.ndarray | None) -> None:
     anorm = float(np.linalg.norm(h))
     if anorm == 0.0 or n == 1:
         return
-    if n < _MULTISHIFT_MIN:
+    cross = _EIG_MULTISHIFT_MIN if q is None else _MULTISHIFT_MIN
+    if n < cross:
         _single_shift(h, q)
         return
     spent = 0
@@ -567,7 +568,7 @@ def _triangularize(h: np.ndarray, q: np.ndarray | None) -> None:
     hi = n
     while hi > 1:
         lo = _split(h, hi, anorm)
-        if hi - lo < _MULTISHIFT_MIN:
+        if hi - lo < cross:
             if hi - lo > 1:
                 _solve_block(h, q, lo, hi)
             hi = lo
@@ -576,7 +577,7 @@ def _triangularize(h: np.ndarray, q: np.ndarray | None) -> None:
         ndfl, shifts = _aed(h, q, lo, hi, ns)
         hi -= ndfl
         stall = 0 if ndfl else stall + 1
-        if hi - lo < _MULTISHIFT_MIN:
+        if hi - lo < cross:
             continue
         if stall and stall % _AED_STALL_PERIOD == 0:
             idx = np.arange(hi - ns, hi)
@@ -596,8 +597,8 @@ def schur(a) -> SchurForm:
     """Unitary Schur triangularization a = q t q*.
 
     Householder Hessenberg reduction, then multishift QR with aggressive
-    early deflation; active blocks below ``_MULTISHIFT_MIN`` rows and the
-    deflation windows are finished by single-shift QR with Wilkinson shifts
+    early deflation; active blocks below ``_MULTISHIFT_MIN`` (96) rows and
+    the deflation windows are finished by single-shift QR with Wilkinson shifts
     and exceptional shifts on stall, whose rotations LAPACK's ``zlartg`` and
     ``zrot`` generate and apply.  No LAPACK eigensolver is called.
     Deflation is relative-threshold.
@@ -627,7 +628,10 @@ def eigenvalues(a) -> np.ndarray:
     :class:`ConvergenceError`, but without the unitary factor: every
     transformation is applied to the active block only, which does not
     change the triangular diagonal and is considerably faster at large
-    dimension.
+    dimension.  Without the unitary factor single-shift QR is the faster
+    path up to about 400 rows, so multishift QR takes over only at
+    ``_EIG_MULTISHIFT_MIN`` (416) rows, for the whole matrix and for the
+    blocks it splits into.
     """
     m = as_square_matrix(a)
     h = m.copy()

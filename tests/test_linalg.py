@@ -18,13 +18,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import zlartg, zrot
 from scipy.optimize import linear_sum_assignment
 
 from dtlab import linalg
 
 RNG = np.random.default_rng(20260825)
-#: First size solved by multishift QR; smaller ones use single-shift QR.
+#: First size that multishift QR solves: CROSS when the Schur vectors are
+#: kept (``schur``), EIG_CROSS for eigenvalues only (``eigenvalues``).
+#: Smaller blocks use single-shift QR.
 CROSS = linalg._MULTISHIFT_MIN
+EIG_CROSS = linalg._EIG_MULTISHIFT_MIN
+AROUND_EIG_CROSS = [EIG_CROSS - 1, EIG_CROSS, EIG_CROSS + 1]
 
 
 # ----------------------------------------------------------------------------
@@ -291,10 +296,11 @@ def test_eigenvalues_invariant_under_unitary_similarity():
     assert np.allclose(lam1, lam2, atol=1e-8)
 
 
-@pytest.mark.parametrize("n", [30, CROSS + 1, 300])
+@pytest.mark.parametrize("n", [30, CROSS + 1, 300, *AROUND_EIG_CROSS])
 def test_schur_and_eigenvalues_agree(n):
-    # Below CROSS both run single-shift QR; above it, multishift sweeps and
-    # AED windows, which update all of h and q or only the active block.
+    # Below CROSS both run single-shift QR.  From CROSS, schur runs multishift
+    # sweeps and AED windows on all of h and q; eigenvalues stays single-shift
+    # below EIG_CROSS, and from there runs them on the active block only.
     a = random_complex(n, 9)
     ref = np.linalg.eigvals(a)
     assert matched_rel_err(linalg.eigenvalues(a), ref) <= 1e-12
@@ -310,7 +316,7 @@ def test_schur_deterministic_across_calls():
 
 
 # ----------------------------------------------------------------------------
-# Multishift QR: sizes around the crossover from single-shift QR, and beyond
+# Multishift QR: sizes around both crossovers from single-shift QR, and beyond
 
 
 def ginibre(n: int, seed: int) -> np.ndarray:
@@ -324,8 +330,9 @@ def matched_rel_err(lam: np.ndarray, ref: np.ndarray) -> float:
     return float(cost[rows, cols].max() / np.abs(ref).max())
 
 
-@pytest.mark.parametrize("n", [CROSS - 1, CROSS, CROSS + 1, 300])
+@pytest.mark.parametrize("n", [CROSS - 1, CROSS, CROSS + 1, 300, *AROUND_EIG_CROSS])
 def test_eigenvalues_match_lapack_around_the_crossover(n):
+    # eigenvalues is single-shift through EIG_CROSS - 1, multishift from it.
     for seed in range(2):
         a = ginibre(n, 7100 + 10 * n + seed)
         err = matched_rel_err(linalg.eigenvalues(a), np.linalg.eigvals(a))
@@ -399,14 +406,123 @@ def test_adversarial_spectra_match_their_oracles():
     assert matched_rel_err(linalg.eigenvalues(h), ref) <= 1e-12
 
 
-@pytest.mark.parametrize("n", [CROSS + 1, 300])
+@pytest.mark.parametrize("n", [CROSS + 1, 300, *AROUND_EIG_CROSS])
 def test_multishift_is_deterministic_across_calls(n):
+    # schur is multishift at every size here, eigenvalues from EIG_CROSS.
     a = ginibre(n, 7700 + n)
     s1 = linalg.schur(a)
     s2 = linalg.schur(a)
     assert s1.t.tobytes() == s2.t.tobytes()
     assert s1.q.tobytes() == s2.q.tobytes()
     assert linalg.eigenvalues(a).tobytes() == linalg.eigenvalues(a).tobytes()
+
+
+@pytest.mark.parametrize(
+    "solve, cross",
+    [(linalg.eigenvalues, EIG_CROSS), (lambda a: linalg.schur(a).t, CROSS)],
+    ids=["eigenvalues", "schur"],
+)
+def test_each_mode_switches_to_multishift_at_its_crossover(monkeypatch, solve, cross):
+    # Record the active block of each bulge chase: none below the crossover,
+    # and no smaller block is chased once a solve has started multishift.
+    chases = []
+    chase = linalg._chase
+
+    def counted(*args):
+        chases.append(args[3] - args[2])
+        chase(*args)
+
+    monkeypatch.setattr(linalg, "_chase", counted)
+    solve(ginibre(cross - 1, 7800))
+    assert chases == []
+    solve(ginibre(cross, 7801))
+    assert chases and min(chases) >= cross
+
+
+# ----------------------------------------------------------------------------
+# Rotation bytes: the solver's inline zrot calls against a reference sweep
+# and swap that route every rotation through a row or a column helper
+
+
+def _rotate_rows(flat, n, i, c0, c1, c, s):
+    """Left-multiply rows i, i + 1, columns [c0, c1) of a C-contiguous n x n
+    matrix, given as its flat buffer, by [[c, s], [-conj(s), c]] in place."""
+    zrot(flat, flat, c, s, c1 - c0, i * n + c0, 1, (i + 1) * n + c0, 1, 1, 1)
+
+
+def _rotate_columns(flat, n, r0, r1, j, c, s):
+    """Right-multiply columns j, j + 1, rows [r0, r1) of a C-contiguous n x n
+    matrix, given as its flat buffer, by [[c, -conj(s)], [s, c]] in place."""
+    zrot(flat, flat, c, s, r1 - r0, r0 * n + j, n, r0 * n + j + 1, n, 1, 1)
+
+
+def _reference_qr_sweep(h, q, lo, hi, shift):
+    n = h.shape[0]
+    row_start, col_end = linalg._span(h, q, lo, hi)
+    flat = h.reshape(-1)
+    qflat = None if q is None else q.reshape(-1)
+    diag = flat[lo * (n + 1) : (hi - 1) * (n + 1) + 1 : n + 1]
+    diag -= shift
+    item = h.item
+    pending = None
+    for i in range(lo, hi - 1):
+        c, s, _ = zlartg(item(i, i), item(i + 1, i))
+        adj = None
+        if s != 0.0:
+            _rotate_rows(flat, n, i, i, col_end, c, s)
+            h[i + 1, i] = 0.0
+            adj = c, s.conjugate()
+        if pending is not None:
+            _rotate_columns(flat, n, row_start, i + 1, i - 1, *pending)
+            if qflat is not None:
+                _rotate_columns(qflat, n, 0, n, i - 1, *pending)
+        pending = adj
+    if pending is not None:
+        _rotate_columns(flat, n, row_start, hi, hi - 2, *pending)
+        if qflat is not None:
+            _rotate_columns(qflat, n, 0, n, hi - 2, *pending)
+    diag += shift
+
+
+def _reference_swap_up(t, v, j, i):
+    n = t.shape[0]
+    flat = t.reshape(-1)
+    vflat = v.reshape(-1)
+    for k in range(j - 1, i - 1, -1):
+        t11 = t[k, k]
+        t22 = t[k + 1, k + 1]
+        c, s, _ = zlartg(t.item(k, k + 1), t22 - t11)
+        if k + 2 < n:
+            _rotate_rows(flat, n, k, k + 2, n, c, s)
+        s = s.conjugate()
+        _rotate_columns(flat, n, 0, k, k, c, s)
+        _rotate_columns(vflat, n, 0, n, k, c, s)
+        t[k, k] = t22
+        t[k + 1, k + 1] = t11
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 64, CROSS - 1, CROSS + 1])
+def test_rotations_write_the_bytes_of_the_reference_sweep(monkeypatch, n):
+    # Through CROSS - 1 both solvers run single-shift QR alone; at CROSS + 1
+    # schur's AED windows also swap eigenvalues with _swap_up.  From n = 3 the
+    # cyclic companion stalls until _STALL_PERIOD sweeps take an exceptional
+    # shift.
+    inputs = [ginibre(n, 7900 + n), _cyclic_companion(n)]
+    got = [(linalg.schur(a), linalg.eigenvalues(a)) for a in inputs]
+    exceptional = []
+
+    def reference(h, q, lo, hi, shift):
+        exceptional.append(shift == h[hi - 1, hi - 1] + 0.75 * abs(h[hi - 1, hi - 2]))
+        _reference_qr_sweep(h, q, lo, hi, shift)
+
+    monkeypatch.setattr(linalg, "_qr_sweep", reference)
+    monkeypatch.setattr(linalg, "_swap_up", _reference_swap_up)
+    for a, (sf, lam) in zip(inputs, got):
+        ref = linalg.schur(a)
+        assert sf.t.tobytes() == ref.t.tobytes()
+        assert sf.q.tobytes() == ref.q.tobytes()
+        assert lam.tobytes() == linalg.eigenvalues(a).tobytes()
+    assert any(exceptional) or n == 2
 
 
 # ----------------------------------------------------------------------------
@@ -492,11 +608,14 @@ linalg._triangularize(t, None)
 tq = h.copy()
 q = np.eye(h.shape[0], dtype=np.complex128)
 linalg._triangularize(tq, q)
+t512 = inputs["h512"].copy()
+linalg._triangularize(t512, None)
 np.savez(
     sys.argv[2],
     t=t,
     tq=tq,
     q=q,
+    t512=t512,
     eig64=linalg.eigenvalues(inputs["a64"]),
     eig128=linalg.eigenvalues(inputs["a128"]),
 )
@@ -505,11 +624,15 @@ np.savez(
 
 def test_qr_phase_bytes_do_not_depend_on_blas_threads(tmp_path):
     # The Hessenberg reduction's own products do depend on the thread count
-    # at k = 256, so the QR phase starts from one saved Hessenberg matrix.
-    h = ginibre(256, 3)
+    # at k = 256, so the QR phase starts from saved Hessenberg matrices.  At
+    # 256 rows, eigenvalues only (t) is single-shift and the Schur form (tq, q)
+    # multishift; at 512 rows eigenvalues only is multishift too.
+    assert CROSS <= 256 < EIG_CROSS <= 512
+    h, h512 = ginibre(256, 3), ginibre(512, 3)
     linalg._hessenberg(h, None)
+    linalg._hessenberg(h512, None)
     inputs = tmp_path / "inputs.npz"
-    np.savez(inputs, h=h, a64=ginibre(64, 3), a128=ginibre(128, 3))
+    np.savez(inputs, h=h, h512=h512, a64=ginibre(64, 3), a128=ginibre(128, 3))
     src = str(Path(linalg.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     runs = []
@@ -524,6 +647,6 @@ def test_qr_phase_bytes_do_not_depend_on_blas_threads(tmp_path):
         )
         runs.append(np.load(out))
     one, two = runs
-    assert sorted(one.files) == ["eig128", "eig64", "q", "t", "tq"]
+    assert sorted(one.files) == ["eig128", "eig64", "q", "t", "t512", "tq"]
     for key in one.files:
         assert one[key].tobytes() == two[key].tobytes(), key
