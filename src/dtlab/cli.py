@@ -410,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _inject_config_file(argv: list[str]) -> list[str]:
     """Expand --config FILE or --config=FILE into flags placed before the
-    explicit ones."""
+    explicit ones, skipping every entry whose flag the command line gives."""
     for at, token in enumerate(argv):
         if token == "--config":
             if at + 1 >= len(argv):
@@ -424,6 +424,7 @@ def _inject_config_file(argv: list[str]) -> list[str]:
         return argv
     if not path.is_file():
         raise ValueError(f"config file not found: {path}")
+    given = {token.partition("=")[0] for token in rest if token.startswith("--")}
     injected: list[str] = []
     for raw in path.read_text().splitlines():
         line = raw.strip()
@@ -432,7 +433,9 @@ def _inject_config_file(argv: list[str]) -> list[str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise ValueError(f"config line is not key=value: {raw!r}")
-        injected.extend([f"--{key.strip()}", value.strip()])
+        flag = f"--{key.strip()}"
+        if flag not in given:
+            injected.extend([flag, value.strip()])
     if not rest:
         raise ValueError("config file given without a subcommand")
     return rest[:1] + injected + rest[1:]
@@ -443,6 +446,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         argv = _inject_config_file(argv)
         args = build_parser().parse_args(argv)
+        for key, value in vars(args).items():
+            values = value if isinstance(value, list) else [value]
+            if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+                flag = "--" + key.replace("_", "-")
+                raise ValueError(f"{flag} must be finite, got {value}")
         return args.func(args, Path(args.out), _resolved_config(args))
     except (ValueError, OSError) as exc:
         # Every refusal, from the flags or from the library, is a ValueError:

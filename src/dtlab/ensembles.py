@@ -360,26 +360,6 @@ class FreenessReport:
     traces_evaluated: int
 
 
-def _product_class(product: tuple) -> list[tuple]:
-    """Products whose centered trace has the modulus of ``product``'s: its
-    adjoints and, when the first and last factors use different members (so
-    every rotation still alternates), the cyclic rotations of its factors."""
-    rotations = [product]
-    if product[0][0][0] != product[-1][0][0]:
-        rotations = [product[j:] + product[:j] for j in range(len(product))]
-    return rotations + [tuple(map(_adjoint, reversed(p))) for p in rotations]
-
-
-def _alternating_products(factors, prefix, used, order):
-    """Yield every extension of ``prefix`` by factors in a member other than
-    the previous factor's, up to ``order`` letters in all, depth first."""
-    for factor in factors:
-        if factor[0][0] != prefix[-1][0][0] and used + len(factor) <= order:
-            product = prefix + (factor,)
-            yield product
-            yield from _alternating_products(factors, product, used + len(factor), order)
-
-
 def _kept_words(product: tuple):
     """Yield (keep, word) for every subset S of the factors kept raw: keep[i]
     says whether factor i is in S, and word is the product of S's factors."""
@@ -410,11 +390,14 @@ def freeness_check(family, order: int, gamma: float) -> FreenessReport:
 
     Products fall into classes of equal |trace|: a product, its adjoint and,
     when the result still alternates, every cyclic rotation of its factors.
-    One representative per class is traced, and ``worst_product`` is the
-    lexicographically least label in the winning class.  No centered matrix
-    is formed: the product of W_i - alpha_i I is expanded over the subsets
-    of factors kept raw, and one ``_TraceEngine`` traces every raw word, each
-    from two products of at most ceil(order/2) letters.
+    Products are walked as tuples of factor labels, each factor and adjoint
+    labelled once.  A class's representative, traced and reported as
+    ``worst_product``, is the least "|"-joined string among a product's
+    reversed-adjoint sequences and, when its first and last factors use
+    different members, their rotations.  No centered matrix is formed: the
+    product of W_i - alpha_i I is expanded over the subsets of factors kept
+    raw, and one ``_TraceEngine`` traces every raw word, each from two
+    products of at most ceil(order/2) letters.
 
     A family with fewer than two members (or order < 2) has no such product
     and passes vacuously.
@@ -427,25 +410,37 @@ def freeness_check(family, order: int, gamma: float) -> FreenessReport:
     if len(mats) < 2 or order < 2:
         return FreenessReport(0.0, "", True, gamma, order, 0, 0)
 
-    factors = [
-        tuple((idx, adj) for adj in bits)
+    # Factor letters and adjoint labels by label; a label starts with its member.
+    letters = {
+        _label(word): word
         for idx in range(len(mats))
         for length in range(1, order)
-        for bits in itertools.product((False, True), repeat=length)
-    ]
-    classes: dict[str, tuple] = {}
+        for word in itertools.product(((idx, False), (idx, True)), repeat=length)
+    }
+    adjoint = {f: _label(_adjoint(word)) for f, word in letters.items()}
+    follow = {  # the factors that may follow member m with room letters left
+        (m, room): [f for f, word in letters.items() if f[0] != m and len(word) <= room]
+        for m in {f[0] for f in letters} for room in range(order)
+    }
+    # Products one factor longer per step, with reversed adjoints and sizes.
+    level = [((f,), (adjoint[f],), len(word)) for f, word in letters.items()]
+    classes: dict[str, None] = {}
     checked = 0
-    for first in factors:
-        for product in _alternating_products(factors, (first,), len(first), order):
-            checked += 1
-            label, rep = min(
-                ("|".join(map(_label, p)), p) for p in _product_class(product)
-            )
-            classes[label] = rep
+    while level:
+        level = [
+            (p + (f,), (adjoint[f],) + adj, used + len(letters[f]))
+            for p, adj, used in level
+            for f in follow[p[-1][0], order - used]
+        ]
+        checked += len(level)
+        for p, adj, _ in level:
+            turns = range(len(p)) if p[0][0] != p[-1][0] else [0]
+            classes[min("|".join(s[j:] + s[:j]) for s in (p, adj) for j in turns)] = None
 
-    words = [word for rep in classes.values() for _, word in _kept_words(rep) if word]
+    reps = {label: tuple(letters[f] for f in label.split("|")) for label in classes}
+    words = [word for rep in reps.values() for _, word in _kept_words(rep) if word]
     trace = _TraceEngine(mats, dict.fromkeys(words)).trace
-    values = {label: abs(_centered_trace(trace, rep)) for label, rep in classes.items()}
+    values = {label: abs(_centered_trace(trace, rep)) for label, rep in reps.items()}
     best = max(values.values())
     worst = min(label for label, value in values.items() if value == best)
     return FreenessReport(

@@ -122,10 +122,6 @@ class CompactMeasure:
     def uniform_disk(cls, center: complex = 0j, radius: float = 1.0) -> "CompactMeasure":
         return cls(diffuse=(DiskPart(complex(center), float(radius), 1.0),))
 
-    @property
-    def atom_mass(self) -> float:
-        return sum(a for _, a in self.atoms)
-
     def components(self) -> list[tuple[object, float]]:
         """(component, mass) pairs, atoms first, in declaration order."""
         out: list[tuple[object, float]] = [(z, a) for z, a in self.atoms]

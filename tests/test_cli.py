@@ -503,6 +503,22 @@ def test_config_file_supplies_defaults_and_cli_wins(tmp_path):
     assert read_json(out2 / "moments.json")["config"]["k"] == 8
 
 
+def test_config_file_mu_loses_to_the_command_line(tmp_path):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("k=8\nmu=atom:0,0,1\n")
+    out = tmp_path / "a"
+    assert run(
+        "sample", "--config", cfg, "--mu", "atom:1,0,1", "--seed", 1, "--out", out
+    ) == 0
+    assert read_json(out / "moments.json")["config"]["mu"] == ["atom:1,0,1"]
+    # Without --mu on the command line, every mu= line of the file appends.
+    cfg.write_text("k=8\nmu=atom:0,0,0.5\nmu=atom:1,0,0.5\n")
+    out = tmp_path / "b"
+    assert run("sample", "--config", cfg, "--seed", 1, "--out", out) == 0
+    mu = read_json(out / "moments.json")["config"]["mu"]
+    assert mu == ["atom:0,0,0.5", "atom:1,0,0.5"]
+
+
 def test_config_file_equals_form(tmp_path):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("k=16\n")
@@ -542,13 +558,18 @@ def test_abbreviated_config_flag_is_refused(tmp_path, capsys):
         ["brown", "--k", 8, "--threshold", -1],
         ["brown", "--k", 8, "--threshold", "nan"],
         ["brown", "--k", 8, "--delta-reg", 1e-300],
+        ["eeps", "--gen-k", 8, "--eps", 0.01, "--trials", 100, "--delta", "nan"],
+        ["selberg", "--n-grid", "2,4", "--eps", "inf"],
+        ["freeness", "--k", 8, "--gamma", "inf"],
+        ["scan", "--k", 8, "--bigN", 2, "--eps-grid", 1e-3, "--chi-offset", "nan"],
     ],
     ids=[
         "sample-k", "brown-eps", "freeness-order", "eeps-trials", "selberg-grid",
         "brown-delta-reg", "selberg-empty-grid", "selberg-one-size",
         "scan-no-admissible-eps", "eeps-points-and-gen-k", "sample-moment-order",
         "eeps-inseparable-points", "freeness-k", "brown-negative-threshold",
-        "brown-nan-threshold", "brown-grid-cost",
+        "brown-nan-threshold", "brown-grid-cost", "eeps-nan-delta",
+        "selberg-inf-eps", "freeness-inf-gamma", "scan-nan-chi-offset",
     ],
 )
 def test_library_precondition_errors_exit_two(tmp_path, monkeypatch, capsys, argv):
@@ -562,6 +583,23 @@ def test_library_precondition_errors_exit_two(tmp_path, monkeypatch, capsys, arg
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--chi-offset", "nan"], "--chi-offset"),
+        (["--eps-grid", "1e-3,inf"], "--eps-grid"),
+    ],
+    ids=["scan-chi-offset", "scan-eps-grid"],
+)
+def test_non_finite_float_flag_is_named_in_the_refusal(tmp_path, capsys, argv, flag):
+    # The refusal names the flag at fault: without the check, a nan offset
+    # reads as a grid with no admissible eps, and an inf entry is skipped.
+    argv = ["scan", "--k", 8, "--bigN", 2, "--eps-grid", 1e-3, *argv]
+    assert run(*argv, "--seed", 1, "--out", tmp_path / "o") == 2
+    assert f"error: {flag} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_bad_measure_spec_exits_two(tmp_path, capsys):

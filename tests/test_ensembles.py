@@ -10,7 +10,8 @@ import itertools
 import math
 import re
 import tracemalloc
-from functools import reduce
+from functools import cache, reduce
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -525,19 +526,20 @@ def test_freeness_check_leaves_a_repeated_member_unchanged():
     assert np.array_equal(g, before)
 
 
+@cache
+def adjoint_label(factor):
+    flipped = [(i, not adj) for i, adj in reversed(letters(factor))]
+    return "".join(chr(ord("a") + i) + "*" * adj for i, adj in flipped)
+
+
 def product_class(label):
     """Labels of a product's adjoints and, when every rotation still
     alternates, of the cyclic rotations of its factors."""
-
-    def adjoint(factor):
-        flipped = [(i, not adj) for i, adj in reversed(letters(factor))]
-        return "".join(chr(ord("a") + i) + "*" * adj for i, adj in flipped)
-
     factors = label.split("|")
     rotations = [factors]
     if factors[0][0] != factors[-1][0]:
         rotations = [factors[j:] + factors[:j] for j in range(len(factors))]
-    adjoints = [[adjoint(f) for f in reversed(r)] for r in rotations]
+    adjoints = [[adjoint_label(f) for f in reversed(r)] for r in rotations]
     return {"|".join(r) for r in rotations + adjoints}
 
 
@@ -559,3 +561,55 @@ def _check_against_brute_force(family, order):
             for q in product_class(label)
         )
     assert report.worst_product == min(product_class(report.worst_product))
+
+
+def alternating_labels(members, order):
+    """Labels of every alternating product of at least two factors, listed
+    letter by letter, with no matrix and no code of the probe's."""
+    factors = sorted(
+        (len(bits), "".join(chr(ord("a") + idx) + "*" * adj for adj in bits))
+        for idx in range(members)
+        for length in range(1, order)
+        for bits in itertools.product((False, True), repeat=length)
+    )
+    labels = []
+
+    def grow(seq, used):
+        if len(seq) >= 2:
+            labels.append("|".join(seq))
+        for size, f in factors:
+            if used + size > order:
+                break
+            if not seq or f[0] != seq[-1][0]:
+                grow(seq + [f], used + size)
+
+    grow([], 0)
+    return labels
+
+
+@pytest.mark.parametrize("members", [2, 3])
+@pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
+def test_freeness_check_traces_the_least_label_of_every_class(
+    monkeypatch, members, order
+):
+    # Only which products are traced is checked, so tracing is stubbed out.
+    # The least label is the least "|"-joined string: for the class of a|b*
+    # (two members, order 2) it is a*|b, while the least factor tuple is
+    # (a, b*), since "*" sorts below "|" but "a" is a prefix of "a*".
+    traced = []
+    monkeypatch.setattr(
+        ensembles, "_TraceEngine", lambda mats, words: SimpleNamespace(trace=None)
+    )
+    monkeypatch.setattr(
+        ensembles, "_centered_trace", lambda trace, rep: traced.append(rep) or 0.0
+    )
+    report = ensembles.freeness_check([np.eye(1)] * members, order, gamma=1.0)
+    got = [
+        "|".join("".join(chr(ord("a") + i) + "*" * adj for i, adj in f) for f in rep)
+        for rep in traced
+    ]
+    labels = alternating_labels(members, order)
+    want = {min(product_class(label)) for label in labels}
+    assert len(got) == report.traces_evaluated == len(want)
+    assert set(got) == want
+    assert report.products_checked == len(labels)

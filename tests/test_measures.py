@@ -108,7 +108,7 @@ def test_smear_turns_atoms_into_disks():
     mu = measures.parse_measure_spec(["atom:0.5,0,0.5", "atom:-1,1,0.5"])
     smeared = measures.smear_atoms(mu, c=1.0, eps=0.5)
     parts = list(smeared.components())
-    assert smeared.atom_mass == 0
+    assert smeared.atoms == ()
     assert len(parts) == 2
     for part, mass in parts:
         assert mass == pytest.approx(0.5)
