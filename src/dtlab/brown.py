@@ -49,11 +49,14 @@ class MicrostatePair:
 
     ``perturbation_norm`` is the realized norm2(z - y).  It concentrates
     near eps * c * sqrt(total atom mass), so at most near eps * c.
+    ``runs`` holds each atom's rows in ``mu.atoms`` order; z is block upper
+    triangular along them, so an atom's spectrum is ``linalg.eigenvalues(z)[run]``.
     """
 
     y: np.ndarray
     z: np.ndarray
     perturbation_norm: float
+    runs: tuple[slice, ...]
 
 
 def perturbed_microstate(
@@ -71,13 +74,11 @@ def perturbed_microstate(
         raise ValueError(f"eps must be positive, got {eps}")
     y = ensembles.sample_dt(ensembles.DTParams(mu=mu, c=c, k=k, seed=seed))
     counts = measures.quantile_counts([m for _, m in mu.components()], k)
+    ends = np.cumsum(counts).tolist()
+    runs = tuple(slice(end - m, end) for _, m, end in zip(mu.atoms, counts, ends))
     p = np.zeros((k, k), dtype=np.complex128)
-    lo = 0
-    for i, ((_, a), m) in enumerate(zip(mu.atoms, counts)):
-        p[lo : lo + m, lo : lo + m] = ensembles._ginibre(
-            substream(seed, 3, i), m, c * c / (a * k)
-        )
-        lo += m
+    for i, ((_, a), m, run) in enumerate(zip(mu.atoms, counts, runs)):
+        p[run, run] = ensembles._ginibre(substream(seed, 3, i), m, c * c / (a * k))
     if not mu.atoms:
         warnings.warn(
             "measure has no atoms: perturbation is empty and z equals y",
@@ -88,7 +89,7 @@ def perturbed_microstate(
     z = p
     z *= eps
     z += y
-    return MicrostatePair(y=y, z=z, perturbation_norm=linalg.norm2(z - y))
+    return MicrostatePair(y=y, z=z, perturbation_norm=linalg.norm2(z - y), runs=runs)
 
 
 # ----------------------------------------------------------------------------

@@ -77,6 +77,8 @@ def _matrix_lines(a: np.ndarray):
 def cmd_sample(args: argparse.Namespace, out: Path, config: dict) -> int:
     mu = _parse_mu(args)
     if args.block:
+        if args.mode != "quantile":
+            raise ValueError("--block samples quantile diagonals only, not --mode iid")
         a = ensembles.assemble_block_dt(mu, args.c, args.block, args.k, args.seed)
     else:
         a = ensembles.sample_dt(
@@ -105,28 +107,25 @@ def cmd_brown(args: argparse.Namespace, out: Path, config: dict) -> int:
     _write_csv(out / "eigenvalues.csv", config, "re,im", _eigenvalue_lines(lam))
     verdicts = {}
     lines = []
-    if disks:
-        centers = np.array([d.center for d in disks])
-        labels = np.abs(lam[:, None] - centers[None, :]).argmin(axis=1)
-        for i, disk in enumerate(disks):
-            subset = lam[labels == i]
-            dist = (
-                brown.radial_cdf_distance(subset, disk.center, disk.radius)
-                if subset.size
-                else 1.0
+    for i, (disk, run) in enumerate(zip(disks, pair.runs)):
+        subset = lam[run]
+        dist = (
+            brown.radial_cdf_distance(subset, disk.center, disk.radius)
+            if subset.size
+            else 1.0
+        )
+        verdicts[f"atom_{i}"] = {
+            "center": _complex_pair(disk.center),
+            "radius": disk.radius,
+            "distance": dist,
+            "threshold": args.threshold,
+            "passed": bool(dist <= args.threshold),
+        }
+        if subset.size:
+            ts, fs = brown.radial_cdf_curve(subset, disk.center, disk.radius)
+            lines.extend(
+                f"{i},{t!r},{f!r}\n" for t, f in zip(ts.tolist(), fs.tolist())
             )
-            verdicts[f"atom_{i}"] = {
-                "center": _complex_pair(disk.center),
-                "radius": disk.radius,
-                "distance": dist,
-                "threshold": args.threshold,
-                "passed": bool(dist <= args.threshold),
-            }
-            if subset.size:
-                ts, fs = brown.radial_cdf_curve(subset, disk.center, disk.radius)
-                lines.extend(
-                    f"{i},{t!r},{f!r}\n" for t, f in zip(ts.tolist(), fs.tolist())
-                )
     _write_csv(out / "radial_cdf.csv", config, "atom,t,cdf", lines)
 
     density_mass = None

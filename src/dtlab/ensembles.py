@@ -14,6 +14,7 @@ tr_k(T* T) ~ c^2 / 2.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import operator
@@ -329,6 +330,7 @@ def star_moment_table(a, max_len: int) -> dict[str, complex]:
     Keys are word labels such as ``"aa*"``, where ``*`` marks the adjoint.
     The words go through one ``_TraceEngine``, so every trace pairs two
     products of at most ceil(max_len/2) letters (3 products at max_len 4).
+    Raises ValueError when a moment overflows to a non-finite value.
     """
     m = as_square_matrix(a)
     if max_len < 1:
@@ -339,7 +341,11 @@ def star_moment_table(a, max_len: int) -> dict[str, complex]:
         for word in itertools.product(((0, False), (0, True)), repeat=length)
     )
     engine = _TraceEngine([m], words)
-    return {_label(word): engine.trace(word) for word in words}
+    table = {_label(word): engine.trace(word) for word in words}
+    for label, value in table.items():
+        if not cmath.isfinite(value):
+            raise ValueError(f"the *-moment {label} is not finite: {value}")
+    return table
 
 
 @dataclass(frozen=True)
@@ -400,7 +406,8 @@ def freeness_check(family, order: int, gamma: float) -> FreenessReport:
     products of at most ceil(order/2) letters.
 
     A family with fewer than two members (or order < 2) has no such product
-    and passes vacuously.
+    and passes vacuously.  A class whose centered trace overflows to a
+    non-finite value raises ValueError.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -441,6 +448,9 @@ def freeness_check(family, order: int, gamma: float) -> FreenessReport:
     words = [word for rep in reps.values() for _, word in _kept_words(rep) if word]
     trace = _TraceEngine(mats, dict.fromkeys(words)).trace
     values = {label: abs(_centered_trace(trace, rep)) for label, rep in reps.items()}
+    for label, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"the centered trace of {label} is not finite: {value}")
     best = max(values.values())
     worst = min(label for label, value in values.items() if value == best)
     return FreenessReport(

@@ -624,14 +624,15 @@ def schur(a) -> SchurForm:
 def eigenvalues(a) -> np.ndarray:
     """Eigenvalue multiset of ``a`` (diagonal of its Schur form).
 
-    Runs the same reduction as :func:`schur`, with the same shift budget and
-    :class:`ConvergenceError`, but without the unitary factor: every
-    transformation is applied to the active block only, which does not
-    change the triangular diagonal and is considerably faster at large
-    dimension.  Without the unitary factor single-shift QR is the faster
-    path up to about 400 rows, so multishift QR takes over only at
-    ``_EIG_MULTISHIFT_MIN`` (416) rows, for the whole matrix and for the
-    blocks it splits into.
+    Runs the reduction of :func:`schur`, with its shift budget and
+    :class:`ConvergenceError`, without the unitary factor: each transform
+    touches the active block only, which leaves the triangular diagonal as
+    it is and is much faster at large dimension.  Single-shift QR is then
+    faster up to about 400 rows, so multishift QR takes over only at
+    ``_EIG_MULTISHIFT_MIN`` (416) rows, for the matrix and its blocks alike.
+    No reflector or sweep crosses an exactly zero coupling: for a block
+    upper triangular ``a``, ``eigenvalues(a)[lo:hi]`` is the spectrum of the
+    diagonal block ``a[lo:hi, lo:hi]``, and a 1 x 1 block gives its entry.
     """
     m = as_square_matrix(a)
     h = m.copy()

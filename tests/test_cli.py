@@ -562,6 +562,9 @@ def test_abbreviated_config_flag_is_refused(tmp_path, capsys):
         ["selberg", "--n-grid", "2,4", "--eps", "inf"],
         ["freeness", "--k", 8, "--gamma", "inf"],
         ["scan", "--k", 8, "--bigN", 2, "--eps-grid", 1e-3, "--chi-offset", "nan"],
+        ["sample", "--k", 8, "--c", 1e150],
+        ["freeness", "--k", 8, "--c", 1e300, "--members", "dt,ginibre"],
+        ["sample", "--k", 8, "--block", 2, "--mode", "iid"],
     ],
     ids=[
         "sample-k", "brown-eps", "freeness-order", "eeps-trials", "selberg-grid",
@@ -570,6 +573,7 @@ def test_abbreviated_config_flag_is_refused(tmp_path, capsys):
         "eeps-inseparable-points", "freeness-k", "brown-negative-threshold",
         "brown-nan-threshold", "brown-grid-cost", "eeps-nan-delta",
         "selberg-inf-eps", "freeness-inf-gamma", "scan-nan-chi-offset",
+        "sample-moment-overflow", "freeness-trace-overflow", "sample-block-iid",
     ],
 )
 def test_library_precondition_errors_exit_two(tmp_path, monkeypatch, capsys, argv):

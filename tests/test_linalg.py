@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from scipy.linalg.lapack import zlartg, zrot
 from scipy.optimize import linear_sum_assignment
 
-from dtlab import linalg
+from dtlab import brown, linalg, measures
 
 RNG = np.random.default_rng(20260825)
 #: First size that multishift QR solves: CROSS when the Schur vectors are
@@ -339,6 +339,31 @@ def test_eigenvalues_match_lapack_around_the_crossover(n):
         assert err <= 1e-12, f"n={n} seed={seed}: {err:.3e}"
 
 
+@pytest.mark.parametrize(
+    "specs, k, multishift",
+    [
+        (["atom:0,0,0.5", "disk:0,0,1,0.5"], 256, False),
+        (["atom:0,0,0.5", "atom:0.3,0,0.5"], 256, False),
+        (["atom:0,0,0.9", "disk:0,0,1,0.1"], 480, True),
+    ],
+    ids=["atom-and-disk", "two-atoms", "multishift-atom"],
+)
+def test_eigenvalues_keep_each_diagonal_block_in_its_rows(specs, k, multishift):
+    # A microstate z = y + eps P is block upper triangular: one block per
+    # atom run, then a 1 x 1 block per diffuse row.  Each atom's slice of
+    # the full solve is its block's spectrum, and the diffuse tail is the
+    # diagonal itself.
+    mu = measures.parse_measure_spec(specs)
+    pair = brown.perturbed_microstate(mu, 1.0, 0.5, k, seed=2)
+    assert (max(r.stop - r.start for r in pair.runs) >= EIG_CROSS) == multishift
+    lam = linalg.eigenvalues(pair.z)
+    for run in pair.runs:
+        err = matched_rel_err(lam[run], np.linalg.eigvals(pair.z[run, run]))
+        assert err <= 1e-12, f"rows {run}: {err:.3e}"
+    tail = slice(pair.runs[-1].stop, k)
+    assert lam[tail].tobytes() == np.diag(pair.z)[tail].tobytes()
+
+
 def _lower_shift(n: int) -> np.ndarray:
     """Nilpotent Jordan block in Hessenberg form: ones on the sub-diagonal."""
     return np.diag(np.ones(n - 1), -1)
@@ -599,7 +624,7 @@ import sys
 
 import numpy as np
 
-from dtlab import linalg
+from dtlab import brown, linalg, measures
 
 inputs = np.load(sys.argv[1])
 h = inputs["h"]
