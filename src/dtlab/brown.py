@@ -45,15 +45,16 @@ MAX_GRID_COST = 1e12
 
 @dataclass(frozen=True, eq=False)
 class MicrostatePair:
-    """Base sample y and its perturbed companion z = y + eps * P.
+    """The perturbed microstate z = y + eps * P of a base sample y.
 
     ``perturbation_norm`` is the realized norm2(z - y).  It concentrates
     near eps * c * sqrt(total atom mass), so at most near eps * c.
     ``runs`` holds each atom's rows in ``mu.atoms`` order; z is block upper
     triangular along them, so an atom's spectrum is ``linalg.eigenvalues(z)[run]``.
+    y itself is not kept: ``ensembles.sample_dt(DTParams(mu, c, k, seed))``
+    redraws it.
     """
 
-    y: np.ndarray
     z: np.ndarray
     perturbation_norm: float
     runs: tuple[slice, ...]
@@ -62,7 +63,7 @@ class MicrostatePair:
 def perturbed_microstate(
     mu: measures.CompactMeasure, c: float, eps: float, k: int, seed: int
 ) -> MicrostatePair:
-    """Sample y and z = y + eps * (blockwise circular) at size k.
+    """Sample z = y + eps * (blockwise circular) at size k.
 
     The diagonal of y uses quantile sampling, so each atom occupies a
     contiguous run of indices; the perturbation acts on exactly those runs.
@@ -78,7 +79,9 @@ def perturbed_microstate(
     runs = tuple(slice(end - m, end) for _, m, end in zip(mu.atoms, counts, ends))
     p = np.zeros((k, k), dtype=np.complex128)
     for i, ((_, a), m, run) in enumerate(zip(mu.atoms, counts, runs)):
-        p[run, run] = ensembles._ginibre(substream(seed, 3, i), m, c * c / (a * k))
+        p[run, run] = ensembles._complex_normal(
+            substream(seed, 3, i), (m, m), c * c / (a * k)
+        )
     if not mu.atoms:
         warnings.warn(
             "measure has no atoms: perturbation is empty and z equals y",
@@ -89,7 +92,7 @@ def perturbed_microstate(
     z = p
     z *= eps
     z += y
-    return MicrostatePair(y=y, z=z, perturbation_norm=linalg.norm2(z - y), runs=runs)
+    return MicrostatePair(z=z, perturbation_norm=linalg.norm2(z - y), runs=runs)
 
 
 # ----------------------------------------------------------------------------
@@ -106,24 +109,21 @@ def _covering_radius(a: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Rectangular evaluation grid: cell centers, uniform spacing."""
+    """Square evaluation grid centred on the origin: n x n cell centers
+    evenly spaced over [-half, half] on each axis."""
 
-    xmin: float
-    xmax: float
-    ymin: float
-    ymax: float
-    nx: int
-    ny: int
+    half: float
+    n: int
 
     def __post_init__(self):
-        if not (self.xmax > self.xmin and self.ymax > self.ymin):
-            raise ValueError("grid rectangle is empty")
-        if self.nx < 3 or self.ny < 3:
+        if not (self.half > 0):
+            raise ValueError("grid half-width must be positive")
+        if self.n < 3:
             raise ValueError("need at least 3 cells per axis for the Laplacian")
 
     @classmethod
-    def square(cls, half_width: float, n: int) -> "GridSpec":
-        return cls(-half_width, half_width, -half_width, half_width, n, n)
+    def square(cls, half: float, n: int) -> "GridSpec":
+        return cls(half, n)
 
     @classmethod
     def covering(cls, a, delta_reg: float) -> "GridSpec":
@@ -144,23 +144,22 @@ class GridSpec:
                 f"{cost:.3g} cells x k^3 of LU work, above the ceiling "
                 f"{MAX_GRID_COST:.0e}; raise delta_reg"
             )
-        return cls.square(half, n)
+        return cls(half, n)
 
     @property
-    def dx(self) -> float:
-        return (self.xmax - self.xmin) / (self.nx - 1)
-
-    @property
-    def dy(self) -> float:
-        return (self.ymax - self.ymin) / (self.ny - 1)
+    def spacing(self) -> float:
+        return 2.0 * self.half / (self.n - 1)
 
     @property
     def xs(self) -> np.ndarray:
-        return np.linspace(self.xmin, self.xmax, self.nx)
+        return np.linspace(-self.half, self.half, self.n)
 
     @property
-    def ys(self) -> np.ndarray:
-        return np.linspace(self.ymin, self.ymax, self.ny)
+    def nx(self) -> int:
+        return self.n
+
+    # The grid is square: rows share the columns' centers and count.
+    ys, ny = xs, nx
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,7 +172,7 @@ class DensityField:
 
     @property
     def mass(self) -> float:
-        return float(self.values.sum() * self.grid.dx * self.grid.dy)
+        return float(self.values.sum() * self.grid.spacing * self.grid.spacing)
 
 
 def _logdet_row(xs, y, delta_reg, parts):
@@ -208,14 +207,14 @@ def brown_logdet_grid(a: np.ndarray, grid: GridSpec, delta_reg: float) -> Densit
     a = linalg.as_square_matrix(a, "a")
     if not (delta_reg > 0):
         raise ValueError(f"delta_reg must be positive, got {delta_reg}")
-    spacing = max(grid.dx, grid.dy)
-    if spacing > delta_reg + 1e-15:
+    h = grid.spacing
+    if h > delta_reg + 1e-15:
         raise ValueError(
-            f"grid spacing {spacing:.4g} exceeds delta_reg {delta_reg:.4g}; "
+            f"grid spacing {h:.4g} exceeds delta_reg {delta_reg:.4g}; "
             "refine the grid or increase the regularization"
         )
     bound = _covering_radius(a)
-    if grid.xmin > -bound or grid.xmax < bound or grid.ymin > -bound or grid.ymax < bound:
+    if grid.half < bound:
         raise ValueError(
             f"grid must cover the disk of radius {bound:.4g} around the origin"
         )
@@ -227,8 +226,8 @@ def brown_logdet_grid(a: np.ndarray, grid: GridSpec, delta_reg: float) -> Densit
     u = np.vstack([_logdet_row(xs, y, delta_reg, parts) for y in grid.ys])
     lap = np.zeros_like(u)
     lap[1:-1, 1:-1] = (
-        (u[1:-1, 2:] + u[1:-1, :-2] - 2.0 * u[1:-1, 1:-1]) / grid.dx**2
-        + (u[2:, 1:-1] + u[:-2, 1:-1] - 2.0 * u[1:-1, 1:-1]) / grid.dy**2
+        (u[1:-1, 2:] + u[1:-1, :-2] - 2.0 * u[1:-1, 1:-1]) / h**2
+        + (u[2:, 1:-1] + u[:-2, 1:-1] - 2.0 * u[1:-1, 1:-1]) / h**2
     )
     density = np.clip(lap / (2.0 * math.pi), 0.0, None)
     density[0, :] = density[-1, :] = 0.0

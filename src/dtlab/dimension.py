@@ -10,7 +10,12 @@ estimate decomposes exactly as
     delta_hat = (2 - 1/bigN) + (f_lb_norm + const_term) / |log eps|
 
 so the structural term, the separation term, and the bookkeeping constants
-can be audited independently.
+can be audited independently.  The second term does not vanish as eps -> 0.
+Per unit of |log eps|, the ball volume contributes -(k-1)/(bigN k), the
+covering cells +2 and the separation integral -2/n - 2p, with n = bigN * k
+and p the close-pair fraction, which tends to 0.  So at fixed bigN and k,
+delta_hat tends to 2 - 1/bigN - 1/n, not to 2 - 1/bigN; the paper's value 2
+needs bigN and k to grow as well.
 """
 
 from __future__ import annotations

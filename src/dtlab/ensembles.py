@@ -69,25 +69,13 @@ def _complex_normal(rng: np.random.Generator, shape, variance: float) -> np.ndar
     return out
 
 
-def _ginibre(rng: np.random.Generator, k: int, variance: float) -> np.ndarray:
-    return _complex_normal(rng, (k, k), variance)
-
-
 def sample_ginibre(k: int, variance: float, seed: int) -> np.ndarray:
     """k x k matrix of iid centered complex Gaussians, E|entry|^2 = variance."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if not (variance > 0):
         raise ValueError("variance must be positive")
-    return _ginibre(substream(seed, 2), k, variance)
-
-
-def _strict_upper(rng: np.random.Generator, k: int, c: float) -> np.ndarray:
-    """c * np.triu(Ginibre draw, 1), scaled and zeroed in place."""
-    out = _ginibre(rng, k, 1.0 / k)
-    out *= c
-    np.copyto(out, 0, where=np.tri(k, dtype=bool))
-    return out
+    return _complex_normal(substream(seed, 2), (k, k), variance)
 
 
 def sample_strict_upper(k: int, c: float, seed: int) -> np.ndarray:
@@ -101,7 +89,11 @@ def sample_strict_upper(k: int, c: float, seed: int) -> np.ndarray:
         raise ValueError("k must be >= 1")
     if not (c > 0):
         raise ValueError("c must be positive")
-    return _strict_upper(substream(seed, 1), k, c)
+    # c * np.triu(Ginibre draw, 1), scaled and zeroed in place.
+    out = _complex_normal(substream(seed, 1), (k, k), 1.0 / k)
+    out *= c
+    np.copyto(out, 0, where=np.tri(k, dtype=bool))
+    return out
 
 
 def sample_diagonal(
@@ -116,11 +108,8 @@ def sample_diagonal(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    return np.diag(_diagonal_points(mu, k, mode, seed).astype(np.complex128))
-
-
-def _diagonal_points(mu: CompactMeasure, k: int, mode: str, seed: int) -> np.ndarray:
-    return measures._sample_points(substream(seed, 0), mu, k, mode)
+    points = measures._sample_points(substream(seed, 0), mu, k, mode)
+    return np.diag(points.astype(np.complex128))
 
 
 def sample_dt(params: DTParams, mode: str = "quantile") -> np.ndarray:
@@ -130,7 +119,9 @@ def sample_dt(params: DTParams, mode: str = "quantile") -> np.ndarray:
     # Adding +0 turns entries that underflowed to -0 (c below about 1e-300)
     # into +0, as adding a diagonal matrix to the strictly upper part would.
     z += 0.0
-    z.reshape(-1)[:: k + 1] += _diagonal_points(params.mu, k, mode, params.seed)
+    z.reshape(-1)[:: k + 1] += measures._sample_points(
+        substream(params.seed, 0), params.mu, k, mode
+    )
     return z
 
 
@@ -159,8 +150,8 @@ def assemble_block_dt(
         sl = slice(i * k, (i + 1) * k)
         z[sl, sl] = sample_dt(DTParams(mu, c_block, k, derive_seed(seed, 4, i)))
         for j in range(i + 1, bigN):
-            z[sl, j * k : (j + 1) * k] = _ginibre(
-                substream(seed, 4, i, j), k, var_upper
+            z[sl, j * k : (j + 1) * k] = _complex_normal(
+                substream(seed, 4, i, j), (k, k), var_upper
             )
     return z
 
@@ -276,6 +267,9 @@ class _TraceEngine:
         }
         self._tr.update(self._stream(mats, choice))
 
+    # A trace that overflows comes out inf or nan, which star_moment_table and
+    # freeness_check refuse, so numpy's warnings would only repeat the refusal.
+    @np.errstate(over="ignore", invalid="ignore")
     def _stream(self, mats: list[np.ndarray], choice: dict) -> dict:
         k = self.k
         letters = {x for pair in choice.values() for x in itertools.chain(*pair)}

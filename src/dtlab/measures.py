@@ -392,7 +392,7 @@ def _sample_points(
     else:
         masses = np.array([m for _, m in comps])
         draws = rng.choice(len(comps), size=n, p=masses / masses.sum())
-        counts = [int((draws == i).sum()) for i in range(len(comps))]
+        counts = np.bincount(draws, minlength=len(comps))
     out = np.empty(n, dtype=np.complex128)
     pos = 0
     for (comp, _), cnt in zip(comps, counts):

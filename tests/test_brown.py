@@ -13,7 +13,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from dtlab import brown, cli, linalg, measures
+from dtlab import brown, cli, ensembles, linalg, measures
 from dtlab.brown import DensityField, GridSpec
 
 
@@ -32,7 +32,7 @@ def mass_within(field: DensityField, center: complex, radius: float) -> float:
     """Density mass of the grid cells whose centers lie inside the disk."""
     zs = field.grid.xs[None, :] + 1j * field.grid.ys[:, None]
     inside = np.abs(zs - center) <= radius
-    return float(field.values[inside].sum() * field.grid.dx * field.grid.dy)
+    return float(field.values[inside].sum() * field.grid.spacing**2)
 
 
 def test_eigenvalues_of_a_diagonal_matrix():
@@ -52,11 +52,17 @@ def test_eigenvalues_ignore_the_nilpotent_part():
 # Perturbed microstates
 
 
+def base_sample(mu, c, k, seed):
+    """The y of ``perturbed_microstate(mu, c, eps, k, seed)``, drawn again."""
+    return ensembles.sample_dt(ensembles.DTParams(mu, c, k, seed))
+
+
 def test_microstate_blocks_follow_atom_masses():
     mu = measures.parse_measure_spec(["atom:1,0,0.5", "atom:-1,0,0.5"])
     pair = brown.perturbed_microstate(mu, c=1.0, eps=0.5, k=8, seed=4)
-    assert np.allclose(np.diag(pair.y), [1, 1, 1, 1, -1, -1, -1, -1])
-    diff = pair.z - pair.y
+    y = base_sample(mu, c=1.0, k=8, seed=4)
+    assert np.allclose(np.diag(y), [1, 1, 1, 1, -1, -1, -1, -1])
+    diff = pair.z - y
     # The perturbation lives inside the diagonal atom blocks only.
     assert np.allclose(diff[:4, 4:], 0.0)
     assert np.allclose(diff[4:, :4], 0.0)
@@ -70,10 +76,26 @@ def test_microstate_perturbation_norm_tracks_eps_c():
     mu = measures.parse_measure_spec(["atom:0,0,0.75", "atom:2,0,0.25"])
     for eps, c in ((0.5, 1.0), (1.0, 0.8)):
         pair = brown.perturbed_microstate(mu, c=c, eps=eps, k=512, seed=9)
+        y = base_sample(mu, c=c, k=512, seed=9)
         assert pair.perturbation_norm == pytest.approx(eps * c, rel=0.05)
-        assert linalg.norm2(pair.z - pair.y) == pytest.approx(
+        assert linalg.norm2(pair.z - y) == pytest.approx(
             pair.perturbation_norm, rel=1e-12
         )
+
+
+def test_microstate_retains_only_z():
+    # The pair keeps z and no copy of y, so one k x k complex matrix (1.00
+    # measured) stays allocated after the call; a kept y would double it.
+    mu = measures.parse_measure_spec(["atom:0,0,0.5", "disk:0,0,1,0.5"])
+    k = 512
+    tracemalloc.start()
+    try:
+        pair = brown.perturbed_microstate(mu, 1.0, 0.5, k, seed=2)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert pair.z.nbytes == k * k * 16
+    assert retained <= 1.1 * k * k * 16
 
 
 def test_microstate_deterministic_per_seed():
@@ -88,7 +110,7 @@ def test_microstate_without_atoms_warns_and_degenerates():
     mu = measures.CompactMeasure.uniform_disk(0j, 1.0)
     with pytest.warns(UserWarning):
         pair = brown.perturbed_microstate(mu, 1.0, 0.5, 16, seed=1)
-    assert np.array_equal(pair.z, pair.y)
+    assert np.array_equal(pair.z, base_sample(mu, c=1.0, k=16, seed=1))
 
 
 # ----------------------------------------------------------------------------
@@ -167,7 +189,7 @@ def test_density_of_nonnormal_matrix_matches_svd_stencil():
     a = (np.triu(g[0], 1) + 0.5 * g[1]) / math.sqrt(2 * k)
     grid = GridSpec.square(1.8, 19)
     field = brown.brown_logdet_grid(a, grid, delta)
-    xs, ys, h = grid.xs, grid.ys, grid.dx
+    xs, ys, h = grid.xs, grid.ys, grid.spacing
     for j, i in ((9, 9), (7, 10), (11, 6)):
         u = {
             (dj, di): svd_log_potential(a, complex(xs[i + di], ys[j + dj]), delta)
@@ -184,16 +206,17 @@ def test_density_of_nonnormal_matrix_matches_svd_stencil():
 
 def test_grid_square_geometry():
     g = GridSpec.square(1.5, 64)
-    assert g.xmin == -1.5 and g.xmax == 1.5
-    assert len(g.xs) == 64 and len(g.ys) == 64
-    assert g.dx == pytest.approx(3.0 / 63)
-    assert set(asdict(g)) == {"xmin", "xmax", "ymin", "ymax", "nx", "ny"}
+    assert g == GridSpec(1.5, 64)
+    assert g.xs[0] == -1.5 and g.xs[-1] == 1.5
+    assert len(g.xs) == 64 and len(g.ys) == 64 and g.nx == g.ny == 64
+    assert g.spacing == pytest.approx(3.0 / 63)
+    assert set(asdict(g)) == {"half", "n"}
 
 
 def test_covering_grid_is_accepted_and_needs_positive_regularization():
     a = uniform_disk_matrix(32) + np.triu(np.full((32, 32), 0.02), k=1)
     grid = GridSpec.covering(a, 0.25)
-    assert grid.dx <= 0.25
+    assert grid.spacing <= 0.25
     assert brown.brown_logdet_grid(a, grid, 0.25).mass > 0.0
     for bad in (0.0, -0.1):
         with pytest.raises(ValueError):
@@ -213,9 +236,9 @@ def test_covering_grid_refuses_a_cost_above_the_ceiling(delta_reg):
 
 def test_grid_rejects_degenerate_shapes():
     with pytest.raises(ValueError):
-        GridSpec(0, 1, 0, 1, 1, 4)
+        GridSpec(1, 1)
     with pytest.raises(ValueError):
-        GridSpec(1, 0, 0, 1, 4, 4)
+        GridSpec(0, 4)
 
 
 def test_grid_spacing_must_resolve_the_regularization():

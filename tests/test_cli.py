@@ -197,7 +197,7 @@ def test_brown_verdict_and_artifacts(tmp_path):
     assert set(header) == {"config", "delta_reg", "grid", "mass"}
     assert header["mass"] == verdict["density_mass"]
     assert lines[1] == "x,y,density"
-    assert len(lines) == 2 + header["grid"]["nx"] * header["grid"]["ny"]
+    assert len(lines) == 2 + header["grid"]["n"] ** 2
 
 
 def test_brown_no_density_flag(tmp_path):
@@ -483,6 +483,31 @@ def test_moment_and_freeness_bytes_do_not_depend_on_blas_threads(tmp_path):
             (cwd / "freeness" / "freeness.json").read_bytes(),
         ])
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sample", "--k", "8", "--c", "1e150"),
+        ("freeness", "--k", "8", "--c", "1e300", "--members", "dt,ginibre"),
+    ],
+    ids=["sample", "freeness"],
+)
+def test_overflow_refusal_prints_one_line_from_the_shell(tmp_path, argv):
+    # pytest captures warnings, so only a fresh process shows whether numpy's
+    # overflow warnings reach stderr ahead of the refusal.
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = tmp_path / "o"
+    proc = subprocess.run(
+        [sys.executable, "-m", "dtlab", *argv, "--seed", "1", "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    assert not out.exists()
 
 
 # ----------------------------------------------------------------------------

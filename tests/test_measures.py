@@ -17,6 +17,7 @@ from scipy.integrate import quad
 
 from dtlab import brown, linalg, measures
 from dtlab.measures import CompactMeasure
+from dtlab.rng import substream
 
 
 def mp_radius(a: float, c: float, eps: float) -> float:
@@ -517,6 +518,20 @@ def test_sample_measure_atoms_in_quantile_mode():
     mu = measures.parse_measure_spec(["atom:2,0,0.5", "atom:-1,0,0.5"])
     pts = measures.sample_measure(mu, 6, seed=0)
     assert np.allclose(np.sort_complex(pts), [-1, -1, -1, 2, 2, 2])
+
+
+def test_sample_measure_atoms_in_iid_mode_match_a_loop_count():
+    # The reference counts each atom's categorical draws with a Python loop,
+    # from sample_measure's own stream, and lays the atoms out in order.
+    mu = measures.parse_measure_spec(["atom:2,0,0.5", "atom:-1,0,0.3", "atom:0,1,0.2"])
+    comps = mu.components()
+    masses = np.array([m for _, m in comps])
+    for n in (1, 7, 100):
+        draws = substream(5, 6).choice(len(comps), size=n, p=masses / masses.sum())
+        counts = [int((draws == i).sum()) for i in range(len(comps))]
+        want = np.repeat([z for z, _ in comps], counts)
+        got = measures.sample_measure(mu, n, seed=5, mode="iid")
+        assert got.tobytes() == want.astype(np.complex128).tobytes()
 
 
 # ----------------------------------------------------------------------------
