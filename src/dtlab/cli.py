@@ -48,10 +48,6 @@ def _complex_pair(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
-def _resolved_config(args: argparse.Namespace) -> dict:
-    return {key: value for key, value in vars(args).items() if key != "func"}
-
-
 def _parse_mu(args: argparse.Namespace) -> measures.CompactMeasure:
     specs = args.mu if args.mu else ["atom:0,0,1"]
     return measures.parse_measure_spec(specs)
@@ -450,7 +446,8 @@ def main(argv: list[str] | None = None) -> int:
             if any(isinstance(v, float) and not math.isfinite(v) for v in values):
                 flag = "--" + key.replace("_", "-")
                 raise ValueError(f"{flag} must be finite, got {value}")
-        return args.func(args, Path(args.out), _resolved_config(args))
+        config = {key: value for key, value in vars(args).items() if key != "func"}
+        return args.func(args, Path(args.out), config)
     except (ValueError, OSError) as exc:
         # Every refusal, from the flags or from the library, is a ValueError:
         # a violated precondition of the requested run, a configuration error.

@@ -57,10 +57,6 @@ def log_ball_volume(dim: int, radius: float) -> float:
     )
 
 
-def _log_ball_volume_or_zero(dim: int, radius: float) -> float:
-    return 0.0 if dim == 0 else log_ball_volume(dim, radius)
-
-
 def packing_lower_bound_log(eps: float, bigN: int, k: int, f_lb_total: float) -> float:
     """Assembled log packing lower bound at total size n = bigN * k.
 
@@ -81,7 +77,7 @@ def packing_lower_bound_log(eps: float, bigN: int, k: int, f_lb_total: float) ->
     return (
         dyson.log_dyson_constant(n)
         + f_lb_total
-        + _log_ball_volume_or_zero(ball_dim, math.sqrt(n) * eps)
+        + (0.0 if ball_dim == 0 else log_ball_volume(ball_dim, math.sqrt(n) * eps))
         + (pairs_dim / 2.0) * math.log(bigN)
         + float(gammaln(n * n + 1))
         - (n * n) * math.log(math.pi * (6.0 * math.sqrt(n) * eps) ** 2)

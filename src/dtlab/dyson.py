@@ -148,7 +148,7 @@ def log_separation_integral_mc(
     filled = 0
     attempts = 0
     attempt_cap = _RESAMPLE_ROUNDS * trials
-    chunk_cap = max(1, (1 << 22) // iu.size) if iu.size else trials
+    chunk_cap = max(1, (1 << 22) // iu.size)
     block_rows = max(1, _BLOCK_PAIRS // iu.size)
     while filled < trials:
         if attempts >= attempt_cap:
@@ -203,7 +203,7 @@ def log_separation_integral_mc(
     unbiased = LogEstimate(log_volume + full, jackknife_se, "unbiased")
     jensen = LogEstimate(
         log_volume + float(logg.mean()),
-        float(logg.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0,
+        float(logg.std(ddof=1) / math.sqrt(trials)),
         "lower-bound",
     )
     return SeparationEstimate(unbiased, jensen, trials, resampled)

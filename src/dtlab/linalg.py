@@ -24,7 +24,6 @@ precision.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,29 +96,22 @@ def as_square_matrix(a, name: str = "a") -> np.ndarray:
 
 
 def norm2(a) -> float:
-    """Normalized trace norm tr_k(a* a)^(1/2) == ||a||_F / sqrt(k); where the plain
-    sum of squares under- or overflows, the real and imaginary parts of a are
-    first scaled exactly by the power of two that brings its largest modulus
-    into [1/2, 1), subnormal moduli included."""
+    """Normalized trace norm tr_k(a* a)^(1/2) == ||a||_F / sqrt(k).
+
+    math.hypot over each row's real and imaginary parts, then over the row
+    results: hypot scales exactly, so no square under- or overflows, and no
+    BLAS call makes the bytes depend on the thread count.  One row at a time
+    is converted to Python floats."""
     m = as_square_matrix(a)
-    with np.errstate(over="ignore"):
-        frob = float(np.linalg.norm(m))
-    if not sys.float_info.min <= frob * frob < math.inf:
-        scale = float(np.abs(m).max())
-        if 0 < scale < math.inf:
-            e = math.frexp(scale)[1]
-            parts = np.ascontiguousarray(m).view(np.float64)
-            frob = math.ldexp(float(np.linalg.norm(np.ldexp(parts, -e))), e)
+    parts = np.ascontiguousarray(m).view(np.float64)
+    frob = math.hypot(*[math.hypot(*row.tolist()) for row in parts])
     return frob / math.sqrt(m.shape[0])
 
 
 def lu_logabsdet_stack(stack: np.ndarray) -> np.ndarray:
     """log|det| of each matrix in a (..., k, k) stack by partial-pivot LU;
     -inf for a singular matrix."""
-    sign, logdet = np.linalg.slogdet(stack)
-    out = np.asarray(logdet, dtype=float).copy()
-    out[np.asarray(sign) == 0] = -np.inf
-    return out
+    return np.linalg.slogdet(stack)[1]
 
 
 def spectral_radius_bound(a) -> float:

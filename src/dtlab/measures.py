@@ -335,14 +335,10 @@ def quantile_counts(masses, n: int) -> list[int]:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    target = [m * n for m in masses]
-    base = [int(math.floor(t)) for t in target]
-    leftover = n - sum(base)
-    remainders = np.array([t - b for t, b in zip(target, base)])
-    order = np.argsort(-remainders, kind="stable")
-    for i in order[:leftover]:
-        base[int(i)] += 1
-    return base
+    target = np.asarray(masses, dtype=float) * n
+    base = np.floor(target).astype(int)
+    base[np.argsort(base - target, kind="stable")[: n - base.sum()]] += 1
+    return base.tolist()
 
 
 def disk_quantile_points(center: complex, radius: float, n: int) -> np.ndarray:

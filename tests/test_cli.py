@@ -1,9 +1,9 @@
 """Command line tests.
 
 Each test drives ``cli.main`` in process and inspects the files it writes,
-except the BLAS thread-count test, which needs fresh processes.  Numeric
-output is cross-read against the library calls the command wraps, so the
-CLI cannot drift from the package API.
+except the BLAS thread-count and stderr tests, which need fresh processes.
+Numeric output is cross-read against the library calls the command wraps,
+so the CLI cannot drift from the package API.
 """
 
 import json
@@ -458,17 +458,13 @@ def test_freeness_repeated_member_fails(tmp_path):
     assert read_json(out / "freeness.json")["passed"] is False
 
 
-def test_moment_and_freeness_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # At k = 200 the trace engine streams three full row blocks and a ragged
-    # one.  A BLAS dot product of such operands rounds differently under 1
-    # and 2 OpenBLAS threads; the engine's reductions must not.
+def run_under_blas_threads(tmp_path, runs) -> list[Path]:
+    """Run each argv in a fresh process, once under 1 and once under 2
+    OpenBLAS threads, each run writing to --out <its subcommand>; returns
+    the two working directories."""
     src = str(Path(cli.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    runs = (
-        ("sample", "--seed", "1", "--k", "200"),
-        ("freeness", "--seed", "5", "--k", "200", "--order", "4"),
-    )
-    outputs = []
+    cwds = []
     for threads in ("1", "2"):
         cwd = tmp_path / f"threads{threads}"
         cwd.mkdir()
@@ -478,11 +474,37 @@ def test_moment_and_freeness_bytes_do_not_depend_on_blas_threads(tmp_path):
                 [sys.executable, "-m", "dtlab", *argv, "--out", argv[0]],
                 cwd=cwd, env=env, check=True, timeout=600,
             )
-        outputs.append([
+        cwds.append(cwd)
+    return cwds
+
+
+def test_moment_and_freeness_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # At k = 200 the trace engine streams three full row blocks and a ragged
+    # one.  A BLAS dot product of such operands rounds differently under 1
+    # and 2 OpenBLAS threads; the engine's reductions must not.
+    runs = (
+        ("sample", "--seed", "1", "--k", "200"),
+        ("freeness", "--seed", "5", "--k", "200", "--order", "4"),
+    )
+    outputs = [
+        [
             (cwd / "sample" / "moments.json").read_bytes(),
             (cwd / "freeness" / "freeness.json").read_bytes(),
-        ])
+        ]
+        for cwd in run_under_blas_threads(tmp_path, runs)
+    ]
     assert outputs[0] == outputs[1]
+
+
+def test_brown_perturbation_norm_does_not_depend_on_blas_threads(tmp_path):
+    # A BLAS Frobenius norm of the k = 256 perturbation rounds differently
+    # under 1 and 2 OpenBLAS threads; norm2 must not.
+    runs = [("brown", "--seed", "2", "--eps", "0.5", "--k", "256", "--no-density")]
+    norms = [
+        read_json(cwd / "brown" / "verdict.json")["perturbation_norm"]
+        for cwd in run_under_blas_threads(tmp_path, runs)
+    ]
+    assert repr(norms[0]) == repr(norms[1])
 
 
 @pytest.mark.parametrize(

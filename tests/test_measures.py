@@ -247,6 +247,33 @@ def test_quantile_counts_sum_and_proximity(raw, n):
         assert abs(c - n * mass) < 1.0 + 1e-9
 
 
+def loop_quantile_counts(masses, n):
+    """Largest remainder with a Python loop: floors, then one more slot for
+    each of the largest remainders, ties broken by component order."""
+    target = [m * n for m in masses]
+    base = [int(math.floor(t)) for t in target]
+    remainders = np.array([t - b for t, b in zip(target, base)])
+    for i in np.argsort(-remainders, kind="stable")[: n - sum(base)]:
+        base[int(i)] += 1
+    return base
+
+
+def test_quantile_counts_match_a_loop_with_ties_and_zero_slots():
+    rng = np.random.default_rng(11)
+    for case in range(3000):
+        parts = int(rng.integers(1, 7))
+        if case % 3 == 0:
+            # Equal masses tie every remainder.
+            masses = [1.0 / parts] * parts
+        else:
+            raw = rng.random(parts)
+            masses = (raw / raw.sum()).tolist()
+        n = 0 if case % 10 == 0 else int(rng.integers(0, 1001))
+        got = measures.quantile_counts(masses, n)
+        assert got == loop_quantile_counts(masses, n), (masses, n)
+        assert all(type(c) is int for c in got)
+
+
 def test_quantile_sampling_follows_component_order():
     # Largest remainder gives the atom 2 of 8 slots, placed before the disk's 6.
     mu = measures.parse_measure_spec(["atom:1,0,0.25", "disk:0,0,1,0.75"])
