@@ -5,12 +5,13 @@ triangularization is implemented directly, so the rest of the package has an
 eigenvalue path whose behaviour is fully under our control: Householder
 reduction to Hessenberg form, then the small-bulge multishift QR algorithm
 with aggressive early deflation of Braman, Byers and Mathias (SIAM J. Matrix
-Anal. Appl. 23(4), 2002), the design of LAPACK's xLAQR0.  Small blocks, and
-the deflation windows themselves, are finished by explicitly shifted
-single-shift QR with Wilkinson shifts.  Small means below
-``_MULTISHIFT_MIN`` = 96 rows when the Schur vectors are kept, and below
-``_EIG_MULTISHIFT_MIN`` = 416 for eigenvalues alone, where single-shift QR
-rotates only the active block and outruns the bulge chase.  Shifts,
+Anal. Appl. 23(4), 2002), the design of LAPACK's xLAQR0.  The same driver
+loop finishes small blocks in place, with no block copy, by explicitly
+shifted single-shift QR with Wilkinson shifts, and the deflation windows in
+recursive calls of its own.  Small means below ``_MULTISHIFT_MIN`` = 96 rows
+when the Schur vectors are kept, and below ``_EIG_MULTISHIFT_MIN`` = 416 for
+eigenvalues alone, where single-shift QR rotates only the active block and
+outruns the bulge chase.  Shifts,
 deflation and the bulge chase are written here; from LAPACK only the
 plane-rotation auxiliaries ``zlartg`` (generate) and ``zrot`` (apply) are
 called, in single-shift QR and in the swaps of the deflation windows, and
@@ -42,7 +43,9 @@ __all__ = [
 
 #: Relative magnitude below which a sub-diagonal or spike entry is deflated.
 _DEFLATE_TOL = 1e-14
-#: QR budget: shifts applied, as a multiple of the matrix dimension.
+#: QR budget: each ``_triangularize`` call may apply this many shifts per row
+#: of the matrix it is handed, single-shift and multishift sweeps alike.  The
+#: AED windows and the shift-finding tail are calls of their own.
 _SHIFTS_PER_DIM = 30
 #: Single-shift sweeps without a deflation before an exceptional shift.
 _STALL_PERIOD = 16
@@ -325,31 +328,9 @@ def _check_budget(spent: int, h: np.ndarray) -> None:
     if spent > budget:
         sub = np.abs(np.diag(h, -1))
         raise ConvergenceError(
-            f"QR iteration exceeded {budget} shifts at dimension {h.shape[0]}; "
+            f"QR shift budget of {budget} exceeded at dimension {h.shape[0]}; "
             f"max sub-diagonal magnitude {sub.max():.3e}"
         )
-
-
-def _single_shift(h: np.ndarray, q: np.ndarray | None) -> None:
-    """Single-shift QR with Wilkinson shifts: the small-matrix base case."""
-    anorm = float(np.linalg.norm(h))
-    spent = 0
-    stall = 0
-    hi = h.shape[0]
-    while hi > 1:
-        lo = _split(h, hi, anorm)
-        if lo == hi - 1:
-            hi -= 1
-            stall = 0
-            continue
-        spent += 1
-        _check_budget(spent, h)
-        stall += 1
-        if stall % _STALL_PERIOD == 0:
-            shift = complex(h[hi - 1, hi - 1] + 0.75 * abs(h[hi - 1, hi - 2]))
-        else:
-            shift = _wilkinson_shift(h, hi)
-        _qr_sweep(h, q, lo, hi, shift)
 
 
 def _apply_window(h, q, lo, hi, w0, w1, u) -> None:
@@ -363,16 +344,6 @@ def _apply_window(h, q, lo, hi, w0, w1, u) -> None:
         h[w0:w1, w1:col_end] = u.conj().T @ h[w0:w1, w1:col_end]
     if q is not None:
         q[:, w0:w1] = q[:, w0:w1] @ u
-
-
-def _solve_block(h, q, lo, hi) -> None:
-    """Triangularize the unreduced block [lo, hi) as a standalone matrix."""
-    blk = h[lo:hi, lo:hi].copy()
-    v = None if q is None else np.eye(hi - lo, dtype=np.complex128)
-    _triangularize(blk, v)
-    h[lo:hi, lo:hi] = blk
-    if v is not None:
-        _apply_window(h, q, lo, hi, lo, hi, v)
 
 
 def _swap_up(t: np.ndarray, v: np.ndarray, j: int, i: int) -> None:
@@ -536,10 +507,11 @@ def _triangularize(h: np.ndarray, q: np.ndarray | None) -> None:
     when given, absorbs every similarity from the right.  Without q, only
     the active block is updated, which leaves the diagonal the same.
 
-    Each iteration on the unreduced block at the bottom is one aggressive
-    early deflation followed by one multishift sweep, chased as chains of at
-    most ``_CHAIN`` bulges, whose shifts are the eigenvalues the deflation
-    window did not deflate.
+    Each iteration works on the unreduced block at the bottom.  Below the
+    crossover it is one single-shift sweep with a Wilkinson shift, or an
+    exceptional one on stall.  Above, it is one aggressive early deflation
+    and one multishift sweep, chased as chains of at most ``_CHAIN`` bulges,
+    whose shifts are the eigenvalues the deflation window did not deflate.
     """
     # zrot works on the flat buffers in place; f2py would silently rotate a
     # copy of any other layout or dtype.
@@ -547,23 +519,26 @@ def _triangularize(h: np.ndarray, q: np.ndarray | None) -> None:
         assert m is None or (
             m.dtype == np.complex128 and m.flags.c_contiguous and m.shape == h.shape
         )
-    n = h.shape[0]
     anorm = float(np.linalg.norm(h))
-    if anorm == 0.0 or n == 1:
-        return
     cross = _EIG_MULTISHIFT_MIN if q is None else _MULTISHIFT_MIN
-    if n < cross:
-        _single_shift(h, q)
-        return
     spent = 0
     stall = 0
-    hi = n
+    hi = h.shape[0]
     while hi > 1:
         lo = _split(h, hi, anorm)
+        if lo == hi - 1:
+            hi -= 1
+            stall = 0
+            continue
         if hi - lo < cross:
-            if hi - lo > 1:
-                _solve_block(h, q, lo, hi)
-            hi = lo
+            spent += 1
+            _check_budget(spent, h)
+            stall += 1
+            if stall % _STALL_PERIOD == 0:
+                shift = complex(h[hi - 1, hi - 1] + 0.75 * abs(h[hi - 1, hi - 2]))
+            else:
+                shift = _wilkinson_shift(h, hi)
+            _qr_sweep(h, q, lo, hi, shift)
             continue
         ns = _shift_count(hi - lo)
         ndfl, shifts = _aed(h, q, lo, hi, ns)
@@ -589,14 +564,15 @@ def schur(a) -> SchurForm:
     """Unitary Schur triangularization a = q t q*.
 
     Householder Hessenberg reduction, then multishift QR with aggressive
-    early deflation; active blocks below ``_MULTISHIFT_MIN`` (96) rows and
-    the deflation windows are finished by single-shift QR with Wilkinson shifts
-    and exceptional shifts on stall, whose rotations LAPACK's ``zlartg`` and
-    ``zrot`` generate and apply.  No LAPACK eigensolver is called.
-    Deflation is relative-threshold.
-    Raises :class:`ConvergenceError` when a QR phase spends more than 30
-    shifts per dimension of the matrix it works on (a single-shift sweep
-    spends one shift, a multishift sweep one per bulge).
+    early deflation; active blocks below ``_MULTISHIFT_MIN`` (96) rows, in
+    place, and the deflation windows are finished by single-shift QR with
+    Wilkinson shifts and exceptional shifts on stall, whose rotations
+    LAPACK's ``zlartg`` and ``zrot`` generate and apply.  No LAPACK
+    eigensolver is called.  Deflation is relative-threshold.
+    Raises :class:`ConvergenceError` when a driver call spends more than 30
+    shifts per row of the matrix it is handed, small blocks included (a
+    single-shift sweep spends one shift, a multishift sweep one per bulge).
+    The AED windows and the shift-finding tail are calls of their own.
     """
     m = as_square_matrix(a)
     n = m.shape[0]

@@ -636,6 +636,18 @@ def test_library_precondition_errors_exit_two(tmp_path, monkeypatch, capsys, arg
     assert not out.exists()
 
 
+def test_eigensolver_non_convergence_exits_one(tmp_path, monkeypatch, capsys):
+    # The README's exit code 1 covers a run whose eigensolver did not
+    # converge; a budget of no shifts makes the first sweep exceed it.
+    monkeypatch.setattr(linalg, "_SHIFTS_PER_DIM", 0)
+    out = tmp_path / "o"
+    code = run("brown", "--seed", 2, "--k", 64, "--no-density", "--out", out)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [

@@ -465,6 +465,44 @@ def test_each_mode_switches_to_multishift_at_its_crossover(monkeypatch, solve, c
     assert chases and min(chases) >= cross
 
 
+@pytest.mark.parametrize(
+    "solve, n",
+    [
+        (linalg.eigenvalues, 64),
+        (linalg.eigenvalues, EIG_CROSS + 16),
+        (linalg.schur, 64),
+        (linalg.schur, CROSS + 16),
+    ],
+    ids=["eigenvalues-single", "eigenvalues-multi", "schur-single", "schur-multi"],
+)
+def test_an_exceeded_shift_budget_raises(monkeypatch, solve, n):
+    # With no shifts to spend, the first sweep of either path, or of the
+    # first AED window, exceeds the budget.  A triangular input needs none.
+    monkeypatch.setattr(linalg, "_SHIFTS_PER_DIM", 0)
+    a = ginibre(n, 8000 + n)
+    with pytest.raises(linalg.ConvergenceError, match="shift budget of 0 exceeded"):
+        solve(a)
+    tri = np.triu(a)
+    if solve is linalg.schur:
+        sf = solve(tri)
+        assert np.array_equal(sf.t, tri) and np.array_equal(sf.q, np.eye(n))
+    else:
+        assert np.array_equal(solve(tri), np.diag(tri))
+
+
+def test_a_block_below_the_crossover_is_solved_with_its_standalone_bytes():
+    # The driver finishes a block below the crossover in place, within the
+    # block, so its spectrum has the bytes of the block solved on its own.
+    n, lo = 600, 520
+    assert n - lo < EIG_CROSS <= lo
+    h = np.triu(ginibre(n, 8100), -1)
+    h[lo, lo - 1] = 0.0
+    blk = h[lo:, lo:].copy()
+    linalg._triangularize(h, None)
+    linalg._triangularize(blk, None)
+    assert np.diag(h)[lo:].tobytes() == np.diag(blk).tobytes()
+
+
 # ----------------------------------------------------------------------------
 # Rotation bytes: the solver's inline zrot calls against a reference sweep
 # and swap that route every rotation through a row or a column helper
