@@ -17,7 +17,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,9 +200,9 @@ def _splits(word: tuple) -> list[tuple[tuple, tuple]]:
     n = len(word)
     pairs = []
     for v in _rotations(word):
+        va = _adjoint(v)  # v* = r* h*: r* is va[: n - s], h* is va[n - s :]
         for s in ((n + 1) // 2, n // 2):
-            h, r = v[:s], v[s:]
-            pairs += [(_adjoint(r), h), (_adjoint(h), r)]
+            pairs += [(va[: n - s], v[:s]), (va[n - s :], v[s:])]
     return list(dict.fromkeys(pairs))
 
 
@@ -237,105 +236,101 @@ def _plan(keys: list[tuple]) -> tuple[list[tuple], dict]:
     return sorted(formed, key=lambda w: (len(w), w)), choice
 
 
-class _TraceEngine:
+# A trace that overflows comes out inf or nan, which star_moment_table and
+# freeness_check refuse, so numpy's warnings would only repeat the refusal.
+@np.errstate(over="ignore", invalid="ignore")
+def _stream(mats: list[np.ndarray], products: list[tuple], choice: dict) -> dict:
+    k = mats[0].shape[0]
+    letters = {x for pair in choice.values() for x in itertools.chain(*pair)}
+    adjoints = sorted((letter,) for letter in letters if letter[1])
+    rows = min(_ROW_BLOCK, k)
+    buf = {w: np.empty((rows, k), np.complex128) for w in adjoints + products}
+    work = np.empty((rows, k), dtype=np.complex128)
+    sums = dict.fromkeys(choice, 0j)
+    for r0 in range(0, k, rows):
+        n = min(rows, k - r0)
+        t = work[:n]
+        block = {((i, False),): m[r0 : r0 + n] for i, m in enumerate(mats)}
+        for w in adjoints:
+            # Rows R of m* are the conjugated columns R of m.
+            columns = mats[w[0][0]][:, r0 : r0 + n]
+            block[w] = np.conjugate(columns.T, out=buf[w][:n])
+        for w in products:
+            (i, adj), out = w[-1], buf[w][:n]
+            if not adj:
+                block[w] = np.matmul(block[w[:-1]], mats[i], out=out)
+            elif n == 1:
+                # numpy multiplies one row by matrix-vector BLAS, whose
+                # summation order follows the matrix's layout, so a
+                # one-row block takes m* in its own layout, as a copy.
+                block[w] = np.matmul(
+                    block[w[:-1]], np.conj(mats[i].T, order="C"), out=out
+                )
+            else:
+                # X m* = conj(conj(X) m^T), with m^T a view of m.
+                np.conjugate(block[w[:-1]], out=t)
+                np.matmul(t, mats[i].T, out=out)
+                block[w] = np.conjugate(out, out=out)
+        for key, (x, y) in choice.items():
+            np.conjugate(block[x], out=t)
+            t *= block[y]
+            sums[key] += complex(t.sum())
+    # A class that holds its own adjoint has a real trace.
+    return {
+        key: (complex(value.real) if key in _rotations(_adjoint(key)) else value) / k
+        for key, value in sums.items()
+    }
+
+
+def _traces(mats: list[np.ndarray], words) -> dict[tuple, complex]:
     """Normalized traces tr_k(w) of the given raw words w in a matrix family.
 
     Words with one trace up to conjugation (rotations of w and of w*) share a
     class, traced once.  A class of L >= 2 letters is traced as <P[x], P[y]>
-    for one split from ``_splits``, chosen so that few products are formed;
-    ``products`` lists them, each of at most ceil(L/2) letters.
+    for one split from ``_splits``, chosen by ``_plan`` so that few products
+    are formed, each of at most ceil(L/2) letters.
 
-    Products are streamed in blocks R of _ROW_BLOCK rows,
-    P[w][R] = P[w minus its last letter][R] @ (last letter), and each trace
-    sums its blocks' inner products in block order.  No member is copied
-    (save for a one-row block, below): an adjoint letter's rows are the
-    conjugated columns of its member, and a product ending in m* is
-    conj(conj(X) @ m.T), with m.T a view of m.  Both give the bytes that
-    products with a conjugate-transposed copy of m gave.  A block's inner
-    product is numpy's elementwise product and pairwise sum, not a BLAS dot,
-    so no trace depends on the BLAS thread count.
+    ``_stream`` forms the products in blocks R of _ROW_BLOCK rows,
+    P[w][R] = P[w minus its last letter][R] @ (last letter), and sums each
+    trace's block inner products in block order.  No member is copied (save
+    for a one-row block): an adjoint letter's rows are the conjugated columns
+    of its member, and X m* is conj(conj(X) @ m.T), with m.T a view of m,
+    both with the bytes of products with a conjugate-transposed copy of m.
+    A block's inner product is numpy's elementwise product and pairwise sum,
+    not a BLAS dot, so no trace depends on the BLAS thread count.
     """
+    k = mats[0].shape[0]
+    classes = {word: _trace_class(word) for word in words}
+    keys = list(dict.fromkeys(key for key, _ in classes.values()))
+    products, choice = _plan([key for key in keys if len(key) > 1])
+    mats = [np.ascontiguousarray(m) for m in mats]
+    tr = {key: complex(np.trace(mats[key[0][0]])) / k for key in keys if len(key) == 1}
+    tr.update(_stream(mats, products, choice))
+    return {
+        word: tr[key].conjugate() if conjugate else tr[key]
+        for word, (key, conjugate) in classes.items()
+    }
 
-    def __init__(self, mats: list[np.ndarray], words):
-        k = self.k = mats[0].shape[0]
-        self._class = {word: _trace_class(word) for word in words}
-        keys = list(dict.fromkeys(key for key, _ in self._class.values()))
-        self.products, choice = _plan([key for key in keys if len(key) > 1])
-        mats = [np.ascontiguousarray(m) for m in mats]
-        self._tr = {
-            key: complex(np.trace(mats[key[0][0]])) / k for key in keys if len(key) == 1
-        }
-        self._tr.update(self._stream(mats, choice))
 
-    # A trace that overflows comes out inf or nan, which star_moment_table and
-    # freeness_check refuse, so numpy's warnings would only repeat the refusal.
-    @np.errstate(over="ignore", invalid="ignore")
-    def _stream(self, mats: list[np.ndarray], choice: dict) -> dict:
-        k = self.k
-        letters = {x for pair in choice.values() for x in itertools.chain(*pair)}
-        adjoints = sorted((letter,) for letter in letters if letter[1])
-        rows = min(_ROW_BLOCK, k)
-        buf = {w: np.empty((rows, k), np.complex128) for w in adjoints + self.products}
-        work = np.empty((rows, k), dtype=np.complex128)
-        sums = dict.fromkeys(choice, 0j)
-        for r0 in range(0, k, rows):
-            n = min(rows, k - r0)
-            t = work[:n]
-            block = {((i, False),): m[r0 : r0 + n] for i, m in enumerate(mats)}
-            for w in adjoints:
-                # Rows R of m* are the conjugated columns R of m.
-                columns = mats[w[0][0]][:, r0 : r0 + n]
-                block[w] = np.conjugate(columns.T, out=buf[w][:n])
-            for w in self.products:
-                (i, adj), out = w[-1], buf[w][:n]
-                if not adj:
-                    block[w] = np.matmul(block[w[:-1]], mats[i], out=out)
-                elif n == 1:
-                    # numpy multiplies one row by matrix-vector BLAS, whose
-                    # summation order follows the matrix's layout, so a
-                    # one-row block takes m* in its own layout, as a copy.
-                    block[w] = np.matmul(
-                        block[w[:-1]], np.conj(mats[i].T, order="C"), out=out
-                    )
-                else:
-                    # X m* = conj(conj(X) m^T), with m^T a view of m.
-                    np.conjugate(block[w[:-1]], out=t)
-                    np.matmul(t, mats[i].T, out=out)
-                    block[w] = np.conjugate(out, out=out)
-            for key, (x, y) in choice.items():
-                np.conjugate(block[x], out=t)
-                t *= block[y]
-                sums[key] += complex(t.sum())
-        # A class that holds its own adjoint has a real trace.
-        return {
-            key: (complex(value.real) if key in _rotations(_adjoint(key)) else value) / k
-            for key, value in sums.items()
-        }
-
-    def trace(self, word: tuple) -> complex:
-        key, conjugate = self._class[word]
-        tr = self._tr[key]
-        return tr.conjugate() if conjugate else tr
+def _member_words(idx: int, max_len: int):
+    """Words of 1 to max_len letters in member idx and its adjoint."""
+    for length in range(1, max_len + 1):
+        yield from itertools.product(((idx, False), (idx, True)), repeat=length)
 
 
 def star_moment_table(a, max_len: int) -> dict[str, complex]:
     """All *-moments of a single matrix up to the given word length.
 
     Keys are word labels such as ``"aa*"``, where ``*`` marks the adjoint.
-    The words go through one ``_TraceEngine``, so every trace pairs two
-    products of at most ceil(max_len/2) letters (3 products at max_len 4).
+    Read from one ``_traces`` table, where every trace pairs two products of
+    at most ceil(max_len/2) letters (3 products at max_len 4).
     Raises ValueError when a moment overflows to a non-finite value.
     """
     m = as_square_matrix(a)
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    words = sorted(
-        word
-        for length in range(1, max_len + 1)
-        for word in itertools.product(((0, False), (0, True)), repeat=length)
-    )
-    engine = _TraceEngine([m], words)
-    table = {_label(word): engine.trace(word) for word in words}
+    tr = _traces([m], sorted(_member_words(0, max_len)))
+    table = {_label(word): value for word, value in tr.items()}
     for label, value in table.items():
         if not cmath.isfinite(value):
             raise ValueError(f"the *-moment {label} is not finite: {value}")
@@ -360,22 +355,15 @@ class FreenessReport:
     traces_evaluated: int
 
 
-def _kept_words(product: tuple):
-    """Yield (keep, word) for every subset S of the factors kept raw: keep[i]
-    says whether factor i is in S, and word is the product of S's factors."""
-    for keep in itertools.product((False, True), repeat=len(product)):
-        yield keep, sum(itertools.compress(product, keep), ())
-
-
-def _centered_trace(trace, product: tuple) -> complex:
-    """tr_k of the product of centered factors W_i - alpha_i I, alpha_i = tr_k(W_i),
-    expanded as sum_S prod_{i not in S} (-alpha_i) tr_k(prod_{i in S} W_i)."""
-    negated = [-trace(w) for w in product]
-    total = 0j
-    for keep, word in _kept_words(product):
-        dropped = itertools.compress(negated, map(operator.not_, keep))
-        total += math.prod(dropped, start=1.0 + 0j) * (trace(word) if word else 1.0)
-    return total
+def _expansion(product: tuple, negated) -> list[tuple[complex, tuple]]:
+    """(coefficient, word) for each subset S of the factors kept raw, in
+    itertools.product((False, True), repeat=m) order of "i in S": word is the
+    product of S's factors, coefficient the product of negated[i] over the
+    factors i not in S, taken left to right from 1 + 0j."""
+    terms = [(1.0 + 0j, ())]
+    for factor, value in zip(product, negated):
+        terms = [t for c, w in terms for t in ((c * value, w), (c, w + factor))]
+    return terms
 
 
 def freeness_check(family, order: int, gamma: float) -> FreenessReport:
@@ -396,8 +384,8 @@ def freeness_check(family, order: int, gamma: float) -> FreenessReport:
     reversed-adjoint sequences and, when its first and last factors use
     different members, their rotations.  No centered matrix is formed: the
     product of W_i - alpha_i I is expanded over the subsets of factors kept
-    raw, and one ``_TraceEngine`` traces every raw word, each from two
-    products of at most ceil(order/2) letters.
+    raw (``_expansion``), and every raw word's trace is read from one
+    ``_traces`` table, each from two products of at most ceil(order/2) letters.
 
     A family with fewer than two members (or order < 2) has no such product
     and passes vacuously.  A class whose centered trace overflows to a
@@ -415,8 +403,7 @@ def freeness_check(family, order: int, gamma: float) -> FreenessReport:
     letters = {
         _label(word): word
         for idx in range(len(mats))
-        for length in range(1, order)
-        for word in itertools.product(((idx, False), (idx, True)), repeat=length)
+        for word in _member_words(idx, order - 1)
     }
     adjoint = {f: _label(_adjoint(word)) for f, word in letters.items()}
     follow = {  # the factors that may follow member m with room letters left
@@ -439,10 +426,15 @@ def freeness_check(family, order: int, gamma: float) -> FreenessReport:
             classes[min("|".join(s[j:] + s[:j]) for s in (p, adj) for j in turns)] = None
 
     reps = {label: tuple(letters[f] for f in label.split("|")) for label in classes}
-    words = [word for rep in reps.values() for _, word in _kept_words(rep) if word]
-    trace = _TraceEngine(mats, dict.fromkeys(words)).trace
-    values = {label: abs(_centered_trace(trace, rep)) for label, rep in reps.items()}
-    for label, value in values.items():
+    ones = [1] * order  # the raw-word list reads the expansion's words only
+    words = [w for rep in reps.values() for _, w in _expansion(rep, ones) if w]
+    tr = _traces(mats, dict.fromkeys(words))
+    values = {}  # tr_k prod(W_i - tr_k(W_i) I) is the sum of coefficient * tr_k(word)
+    for label, rep in reps.items():
+        total = 0j
+        for c, word in _expansion(rep, [-tr[f] for f in rep]):
+            total += c * (tr[word] if word else 1.0)
+        value = values[label] = abs(total)
         if not math.isfinite(value):
             raise ValueError(f"the centered trace of {label} is not finite: {value}")
     best = max(values.values())

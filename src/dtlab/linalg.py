@@ -560,6 +560,15 @@ def _triangularize(h: np.ndarray, q: np.ndarray | None) -> None:
             _chase(h, q, lo, hi, shifts[c : c + _CHAIN])
 
 
+def _reduce(h: np.ndarray, q: np.ndarray | None) -> None:
+    """Triangularize h in place; a ConvergenceError also names h's size."""
+    _hessenberg(h, q)
+    try:
+        _triangularize(h, q)
+    except ConvergenceError as err:
+        raise ConvergenceError(f"{err} (in a {len(h)} x {len(h)} matrix)") from None
+
+
 def schur(a) -> SchurForm:
     """Unitary Schur triangularization a = q t q*.
 
@@ -578,8 +587,7 @@ def schur(a) -> SchurForm:
     n = m.shape[0]
     h = m.copy()
     q = np.eye(n, dtype=np.complex128)
-    _hessenberg(h, q)
-    _triangularize(h, q)
+    _reduce(h, q)
     t = np.triu(h)
     anorm = float(np.linalg.norm(m))
     if anorm == 0.0:
@@ -604,6 +612,5 @@ def eigenvalues(a) -> np.ndarray:
     """
     m = as_square_matrix(a)
     h = m.copy()
-    _hessenberg(h, None)
-    _triangularize(h, None)
+    _reduce(h, None)
     return np.diag(h).copy()

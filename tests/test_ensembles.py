@@ -8,10 +8,11 @@ share no construction code.
 
 import itertools
 import math
+import operator
 import re
 import tracemalloc
+from collections import defaultdict
 from functools import cache, reduce
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -404,34 +405,32 @@ def reference_sample_dt(params, mode):
     return diag + upper
 
 
-class CopyEngine(ensembles._TraceEngine):
-    """The trace engine with adjoint letters read from one conjugate-
+def copy_stream(mats, products, choice):
+    """``ensembles._stream`` with adjoint letters read from one conjugate-
     transposed copy of each member."""
-
-    def _stream(self, mats, choice):
-        k = self.k
-        full = {(i, False): m for i, m in enumerate(mats)}
-        for pair in choice.values():
-            for i, adj in itertools.chain(*pair):
-                if adj and (i, True) not in full:
-                    full[i, True] = np.conj(mats[i].T, order="C")
-        rows = min(ensembles._ROW_BLOCK, k)
-        buf = {w: np.empty((rows, k), dtype=np.complex128) for w in self.products}
-        work = np.empty((rows, k), dtype=np.complex128)
-        sums = dict.fromkeys(choice, 0j)
-        for r0 in range(0, k, rows):
-            n = min(rows, k - r0)
-            block = {(letter,): m[r0 : r0 + n] for letter, m in full.items()}
-            for w in self.products:
-                block[w] = np.matmul(block[w[:-1]], full[w[-1]], out=buf[w][:n])
-            t = work[:n]
-            for key, (x, y) in choice.items():
-                np.conjugate(block[x], out=t)
-                t *= block[y]
-                sums[key] += complex(t.sum())
-        real = {key for key in sums if key in _rotations(_adjoint(key))}
-        return {key: (complex(v.real) if key in real else v) / k
-                for key, v in sums.items()}
+    k = mats[0].shape[0]
+    full = {(i, False): m for i, m in enumerate(mats)}
+    for pair in choice.values():
+        for i, adj in itertools.chain(*pair):
+            if adj and (i, True) not in full:
+                full[i, True] = np.conj(mats[i].T, order="C")
+    rows = min(ensembles._ROW_BLOCK, k)
+    buf = {w: np.empty((rows, k), dtype=np.complex128) for w in products}
+    work = np.empty((rows, k), dtype=np.complex128)
+    sums = dict.fromkeys(choice, 0j)
+    for r0 in range(0, k, rows):
+        n = min(rows, k - r0)
+        block = {(letter,): m[r0 : r0 + n] for letter, m in full.items()}
+        for w in products:
+            block[w] = np.matmul(block[w[:-1]], full[w[-1]], out=buf[w][:n])
+        t = work[:n]
+        for key, (x, y) in choice.items():
+            np.conjugate(block[x], out=t)
+            t *= block[y]
+            sums[key] += complex(t.sum())
+    real = {key for key in sums if key in _rotations(_adjoint(key))}
+    return {key: (complex(v.real) if key in real else v) / k
+            for key, v in sums.items()}
 
 
 def same_bytes(a, b) -> bool:
@@ -494,17 +493,22 @@ def test_trace_engine_writes_the_bytes_of_the_copy_based_engine(
         ensembles.sample_ginibre(k, 1.0 / k, seed=k),
         ensembles.sample_dt(DTParams(README_MIXTURE, 1.0, k, seed=k)),
     ]
-    engine = ensembles._TraceEngine(fam, ENGINE_WORDS)
-    reference = CopyEngine(fam, ENGINE_WORDS)
+    table = ensembles._traces(fam, ENGINE_WORDS)
+    monkeypatch.setattr(ensembles, "_stream", copy_stream)
+    reference = ensembles._traces(fam, ENGINE_WORDS)
     assert same_bytes(
-        [engine.trace(w) for w in ENGINE_WORDS],
-        [reference.trace(w) for w in ENGINE_WORDS],
+        [table[w] for w in ENGINE_WORDS], [reference[w] for w in ENGINE_WORDS]
     )
 
 
-def test_trace_engine_matches_full_products_on_mixed_words():
+def test_trace_engine_matches_full_products_on_mixed_words(monkeypatch):
     # Every word of at most 5 letters in two members and their adjoints,
     # odd lengths included; no product longer than 3 letters is formed.
+    plans = []
+    plan = ensembles._plan
+    monkeypatch.setattr(
+        ensembles, "_plan", lambda keys: plans.append(plan(keys)) or plans[-1]
+    )
     fam = _ginibre_family(8, 2, seed=9)
     letters = [(i, adj) for i in range(2) for adj in (False, True)]
     words = [
@@ -512,11 +516,12 @@ def test_trace_engine_matches_full_products_on_mixed_words():
         for length in range(1, 6)
         for word in itertools.product(letters, repeat=length)
     ]
-    engine = ensembles._TraceEngine(fam, words)
+    table = ensembles._traces(fam, words)
     for word in words:
         want = full_product_trace(fam, word)
-        assert engine.trace(word) == pytest.approx(want, rel=1e-12, abs=1e-14)
-    assert max(len(w) for w in engine.products) == 3
+        assert table[word] == pytest.approx(want, rel=1e-12, abs=1e-14)
+    [(products, _)] = plans
+    assert max(len(w) for w in products) == 3
 
 
 def test_freeness_check_leaves_a_repeated_member_unchanged():
@@ -596,14 +601,19 @@ def test_freeness_check_traces_the_least_label_of_every_class(
     # The least label is the least "|"-joined string: for the class of a|b*
     # (two members, order 2) it is a*|b, while the least factor tuple is
     # (a, b*), since "*" sorts below "|" but "a" is a prefix of "a*".
-    traced = []
+    # Each representative is expanded twice, for the raw-word list and for
+    # its centered sum, in the same order.
+    expanded = []
+    expansion = ensembles._expansion
+    monkeypatch.setattr(ensembles, "_traces", lambda mats, words: defaultdict(complex))
     monkeypatch.setattr(
-        ensembles, "_TraceEngine", lambda mats, words: SimpleNamespace(trace=None)
-    )
-    monkeypatch.setattr(
-        ensembles, "_centered_trace", lambda trace, rep: traced.append(rep) or 0.0
+        ensembles,
+        "_expansion",
+        lambda rep, negated: expanded.append(rep) or expansion(rep, negated),
     )
     report = ensembles.freeness_check([np.eye(1)] * members, order, gamma=1.0)
+    traced = expanded[len(expanded) // 2 :]
+    assert expanded[: len(expanded) // 2] == traced
     got = [
         "|".join("".join(chr(ord("a") + i) + "*" * adj for i, adj in f) for f in rep)
         for rep in traced
@@ -613,3 +623,46 @@ def test_freeness_check_traces_the_least_label_of_every_class(
     assert len(got) == report.traces_evaluated == len(want)
     assert set(got) == want
     assert report.products_checked == len(labels)
+
+
+def kept_words(product: tuple):
+    """Yield (keep, word) for every subset S of the factors kept raw: keep[i]
+    says whether factor i is in S, and word is the product of S's factors."""
+    for keep in itertools.product((False, True), repeat=len(product)):
+        yield keep, sum(itertools.compress(product, keep), ())
+
+
+def centered_trace(trace, product: tuple) -> complex:
+    """tr_k of the product of centered factors W_i - alpha_i I, alpha_i = tr_k(W_i),
+    expanded as sum_S prod_{i not in S} (-alpha_i) tr_k(prod_{i in S} W_i)."""
+    negated = [-trace(w) for w in product]
+    total = 0j
+    for keep, word in kept_words(product):
+        dropped = itertools.compress(negated, map(operator.not_, keep))
+        total += math.prod(dropped, start=1.0 + 0j) * (trace(word) if word else 1.0)
+    return total
+
+
+@pytest.mark.parametrize("members", [2, 3])
+def test_expansion_gives_the_centered_sums_of_the_subset_loop(members):
+    # Random complex traces of every raw word; the centered sum that
+    # freeness_check forms from _expansion must have the reference's bytes.
+    rng = np.random.default_rng(members)
+    table = {}
+
+    def trace(word):
+        if word not in table:
+            table[word] = complex(*rng.standard_normal(2) * 10.0 ** rng.integers(-3, 4))
+        return table[word]
+
+    for order in range(2, 7):
+        labels = alternating_labels(members, order)
+        for label in sorted({min(product_class(p)) for p in labels}):
+            rep = tuple(letters(f) for f in label.split("|"))
+            want = centered_trace(trace, rep)
+            terms = ensembles._expansion(rep, [-table[f] for f in rep])
+            assert [w for _, w in terms] == [w for _, w in kept_words(rep)]
+            total = 0j
+            for c, word in terms:
+                total += c * (table[word] if word else 1.0)
+            assert same_bytes(total, want), label

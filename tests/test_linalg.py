@@ -490,6 +490,17 @@ def test_an_exceeded_shift_budget_raises(monkeypatch, solve, n):
         assert np.array_equal(solve(tri), np.diag(tri))
 
 
+def test_an_exceeded_shift_budget_names_the_size_of_the_input(monkeypatch):
+    # At 432 rows the first call to fail is the 27-row AED window's; the
+    # message names the window and the matrix the caller passed in.
+    monkeypatch.setattr(linalg, "_SHIFTS_PER_DIM", 0)
+    with pytest.raises(
+        linalg.ConvergenceError,
+        match=r"shift budget of 0 exceeded at dimension 27; .* 432 x 432 matrix",
+    ):
+        linalg.eigenvalues(ginibre(432, 8432))
+
+
 def test_a_block_below_the_crossover_is_solved_with_its_standalone_bytes():
     # The driver finishes a block below the crossover in place, within the
     # block, so its spectrum has the bytes of the block solved on its own.
