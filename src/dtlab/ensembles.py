@@ -176,6 +176,8 @@ def _adjoint(word: tuple) -> tuple:
 
 #: Rows per block of the streamed products: the engine holds each product it
 #: forms as one _ROW_BLOCK x k slice at a time, never as a full k x k matrix.
+#: A lone last row joins the block before it: numpy would multiply one row by
+#: matrix-vector BLAS, whose summation order follows the layout of m.T.
 _ROW_BLOCK = 64
 
 
@@ -243,29 +245,24 @@ def _stream(mats: list[np.ndarray], products: list[tuple], choice: dict) -> dict
     k = mats[0].shape[0]
     letters = {x for pair in choice.values() for x in itertools.chain(*pair)}
     adjoints = sorted((letter,) for letter in letters if letter[1])
-    rows = min(_ROW_BLOCK, k)
+    # No block starts at row k - 1, unless k = 1.
+    edges = [*range(0, max(k - 1, 1), min(_ROW_BLOCK, k)), k]
+    rows = max(r1 - r0 for r0, r1 in itertools.pairwise(edges))
     buf = {w: np.empty((rows, k), np.complex128) for w in adjoints + products}
     work = np.empty((rows, k), dtype=np.complex128)
     sums = dict.fromkeys(choice, 0j)
-    for r0 in range(0, k, rows):
-        n = min(rows, k - r0)
+    for r0, r1 in itertools.pairwise(edges):
+        n = r1 - r0
         t = work[:n]
-        block = {((i, False),): m[r0 : r0 + n] for i, m in enumerate(mats)}
+        block = {((i, False),): m[r0:r1] for i, m in enumerate(mats)}
         for w in adjoints:
             # Rows R of m* are the conjugated columns R of m.
-            columns = mats[w[0][0]][:, r0 : r0 + n]
+            columns = mats[w[0][0]][:, r0:r1]
             block[w] = np.conjugate(columns.T, out=buf[w][:n])
         for w in products:
             (i, adj), out = w[-1], buf[w][:n]
             if not adj:
                 block[w] = np.matmul(block[w[:-1]], mats[i], out=out)
-            elif n == 1:
-                # numpy multiplies one row by matrix-vector BLAS, whose
-                # summation order follows the matrix's layout, so a
-                # one-row block takes m* in its own layout, as a copy.
-                block[w] = np.matmul(
-                    block[w[:-1]], np.conj(mats[i].T, order="C"), out=out
-                )
             else:
                 # X m* = conj(conj(X) m^T), with m^T a view of m.
                 np.conjugate(block[w[:-1]], out=t)
@@ -292,12 +289,13 @@ def _traces(mats: list[np.ndarray], words) -> dict[tuple, complex]:
 
     ``_stream`` forms the products in blocks R of _ROW_BLOCK rows,
     P[w][R] = P[w minus its last letter][R] @ (last letter), and sums each
-    trace's block inner products in block order.  No member is copied (save
-    for a one-row block): an adjoint letter's rows are the conjugated columns
-    of its member, and X m* is conj(conj(X) @ m.T), with m.T a view of m,
-    both with the bytes of products with a conjugate-transposed copy of m.
-    A block's inner product is numpy's elementwise product and pairwise sum,
-    not a BLAS dot, so no trace depends on the BLAS thread count.
+    trace's block inner products in block order.  No member is copied: an
+    adjoint letter's rows are the conjugated columns of its member, and
+    X m* is conj(conj(X) @ m.T), with m.T a view of m, both with the bytes
+    of products with a conjugate-transposed copy of m.  A block's inner
+    product is numpy's elementwise product and pairwise sum, not a BLAS
+    dot, whose sum would follow the BLAS thread count; at some k (129, for
+    one) OpenBLAS's block products themselves still do.
     """
     k = mats[0].shape[0]
     classes = {word: _trace_class(word) for word in words}
