@@ -79,20 +79,21 @@ def perturbed_microstate(
     runs = tuple(slice(end - m, end) for _, m, end in zip(mu.atoms, counts, ends))
     p = np.zeros((k, k), dtype=np.complex128)
     for i, ((_, a), m, run) in enumerate(zip(mu.atoms, counts, runs)):
-        p[run, run] = ensembles._complex_normal(
-            substream(seed, 3, i), (m, m), c * c / (a * k)
+        ensembles._complex_normal(
+            substream(seed, 3, i), (m, m), c * c / (a * k), out=p[run, run]
         )
     if not mu.atoms:
         warnings.warn(
             "measure has no atoms: perturbation is empty and z equals y",
             stacklevel=2,
         )
-    # z = y + eps * p, built in p's buffer; only norm2(z - y) below makes a
-    # k x k temporary.
+    # z = y + eps * p, built in p's buffer, and z - y in y's, which is not
+    # kept: no k x k temporary.
     z = p
     z *= eps
     z += y
-    return MicrostatePair(z=z, perturbation_norm=linalg.norm2(z - y), runs=runs)
+    diff = np.subtract(z, y, out=y)
+    return MicrostatePair(z=z, perturbation_norm=linalg.norm2(diff), runs=runs)
 
 
 # ----------------------------------------------------------------------------

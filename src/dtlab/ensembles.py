@@ -57,11 +57,15 @@ class DTParams:
             raise ValueError(f"k must be a positive integer, got {self.k}")
 
 
-def _complex_normal(rng: np.random.Generator, shape, variance: float) -> np.ndarray:
+def _complex_normal(
+    rng: np.random.Generator, shape, variance: float, out: np.ndarray | None = None
+) -> np.ndarray:
     """sqrt(variance / 2) * (a + 1j * b) for standard normal draws a, then b,
-    built in one complex buffer through one float scratch array."""
+    built in one complex buffer through one float scratch array.  The buffer
+    is ``out`` when given, a complex array of that shape, which may be a view."""
     draws = rng.standard_normal(shape)
-    out = np.empty(shape, dtype=np.complex128)
+    if out is None:
+        out = np.empty(shape, dtype=np.complex128)
     out.real = draws
     out.imag = rng.standard_normal(shape, out=draws)
     out *= math.sqrt(variance / 2.0)

@@ -11,12 +11,13 @@ shifted single-shift QR with Wilkinson shifts, and the deflation windows in
 recursive calls of its own.  Small means below ``_MULTISHIFT_MIN`` = 96 rows
 when the Schur vectors are kept, and below ``_EIG_MULTISHIFT_MIN`` = 416 for
 eigenvalues alone, where single-shift QR rotates only the active block and
-outruns the bulge chase.  Shifts,
-deflation and the bulge chase are written here; from LAPACK only the
-plane-rotation auxiliaries ``zlartg`` (generate) and ``zrot`` (apply) are
-called, in single-shift QR and in the swaps of the deflation windows, and
-no LAPACK eigenvalue or Schur routine is.  The LU-based log-determinant is
-the deliberately separate second route used by the density-field estimator.
+outruns the bulge chase.  Shifts, deflation and the bulge chase are written
+here; from LAPACK only the plane-rotation auxiliaries ``zlartg`` (generate)
+and ``zrot`` (apply) are called.  They generate and apply every rotation of
+the QR phase: single-shift sweeps, the swaps of the deflation windows and
+the bulge chase.  No LAPACK eigenvalue or Schur routine is called.  The
+LU-based log-determinant is the deliberately separate second route used by
+the density-field estimator.
 
 Intended scale is dense matrices up to a couple thousand rows in double
 precision.
@@ -53,13 +54,11 @@ _STALL_PERIOD = 16
 #: (AED) when the Schur vectors are kept; smaller blocks, and so every AED
 #: window, use single-shift QR.
 _MULTISHIFT_MIN = 96
-#: The same for eigenvalue-only solves.  Single-shift QR there rotates only
-#: the active block, and it outruns multishift QR, whose chase spends about
-#: 20 numpy calls on each step of a few bulges, up to about this size.
+#: The same for eigenvalue-only solves, where single-shift QR rotates only
+#: the active block and so stays the cheaper path to a larger size.
 _EIG_MULTISHIFT_MIN = 416
-#: Most shifts per multishift sweep, and most bulges chased as one chain.
+#: Most shifts per multishift sweep, all chased as one chain.
 _MAX_SHIFTS = 64
-_CHAIN = 32
 #: Lockstep steps a bulge chain takes inside one window.
 _WINDOW_STEPS = 16
 #: Multishift iterations without an AED deflation before exceptional shifts.
@@ -417,35 +416,17 @@ def _aed(h, q, lo, hi, nw) -> tuple[int, np.ndarray]:
     return nw - keep, shifts
 
 
-def _chain_rotations(fg: np.ndarray) -> np.ndarray:
-    """Stacked unitary 2x2 maps G with G @ [f, g] = [r, 0], r = |(f, g)|.
-
-    ``fg`` holds one (f, g) pair per row.  G is [[conj f, conj g], [-g, f]] / r,
-    and the identity where f = g = 0.
-    """
-    a = np.abs(fg)
-    r = np.hypot(a[:, 0], a[:, 1])
-    rot = np.empty((fg.shape[0], 2, 2), dtype=np.complex128)
-    np.conjugate(fg, out=rot[:, 0, :])
-    np.negative(fg[:, 1], out=rot[:, 1, 0])
-    rot[:, 1, 1] = fg[:, 0]
-    if not r.all():
-        zero = r == 0.0
-        rot[zero] = np.eye(2)
-        r[zero] = 1.0
-    rot /= r[:, None, None]
-    return rot
-
-
 def _chase(h, q, lo, hi, shifts) -> None:
     """Chase one chain of bulges, one per shift, through the block [lo, hi).
 
     Each bulge is that of a single-shift sweep.  The bulges sit two rows
-    apart and advance in lockstep, so a step is one batch of rotations on
-    disjoint row pairs, and its parameters can all be read before any is
-    applied.  Steps are taken inside a diagonal window that slides down with
-    the chain; the window's rotations reach the rest of h, and q, through
-    one matrix product per window.
+    apart and advance in lockstep.  A step moves them bottom bulge first,
+    because a bulge's column rotation reaches the two entries from which
+    the bulge below it generates its rotation.  ``zlartg`` generates each
+    rotation and ``zrot`` applies it, to two rows and then to two columns.
+    Steps are taken inside a diagonal window that slides down with the
+    chain; the window's rotations reach the rest of h, and q, through one
+    matrix product per window.
     """
     m = len(shifts)
     span = hi - lo - 2  # bulge k is in the block while 0 <= t - 2k <= span
@@ -457,42 +438,38 @@ def _chase(h, q, lo, hi, shifts) -> None:
         w1 = min(hi, lo + t1 + 2 - 2 * max(0, -((span - t1 + 1) // 2)))
         nw = w1 - w0
         # The window and the adjoint of its accumulated rotations side by
-        # side, so that one product per step rotates the rows of both.
-        both = np.empty((nw, 2 * nw), dtype=np.complex128)
+        # side, so that one rotation of two rows rotates both.
+        ld = 2 * nw  # row length of both, the stride of a column
+        both = np.empty((nw, ld), dtype=np.complex128)
         both[:, :nw] = h[w0:w1, w0:w1]
         both[:, nw:] = np.eye(nw)
-        win = both[:, :nw]
+        flat = both.reshape(-1)
+        item = flat.item
         for t in range(t0, t1):
             kb = min(m - 1, t // 2)
             cnt = kb - max(0, -((span - t) // 2)) + 1
             if cnt <= 0:
                 continue
-            # Bulge j of the batch rotates rows r + 2j and r + 2j + 1 to
-            # clear the entry below the sub-diagonal in column r + 2j - 1;
-            # a bulge entering the block (j = 0) is made from its shift.
+            # Bulge kb - j rotates rows r + 2j and r + 2j + 1 to clear the
+            # entry below the sub-diagonal in column r + 2j - 1; a bulge
+            # entering the block (j = 0) is made from its shift.
             r = lo + t - 2 * kb - w0
-            j0 = 1 if t == 2 * kb else 0
-            pairs = np.ndarray(
-                (cnt - j0, 2),
-                dtype=np.complex128,
-                buffer=both,
-                offset=16 * ((r + 2 * j0) * 2 * nw + r + 2 * j0 - 1),
-                strides=(16 * (4 * nw + 2), 16 * 2 * nw),
-            )
-            fg = np.empty((cnt, 2), dtype=np.complex128)
-            fg[j0:] = pairs
-            if j0:
-                fg[0] = win[r, r] - shifts[kb], win[r + 1, r]
-            rot = _chain_rotations(fg)
-            rows = slice(r, r + 2 * cnt)
-            c0 = max(r - 1, 0)
-            slab = both[rows, c0:].reshape(cnt, 2, 2 * nw - c0)
-            slab[...] = rot @ slab
-            pairs[:, 1] = 0.0
-            r1 = min(nw, r + 2 * cnt + 1)
-            slab = win[:r1, rows].T.reshape(cnt, 2, r1)
-            slab[...] = rot.conj() @ slab
-        h[w0:w1, w0:w1] = win
+            enter = t == 2 * kb
+            bottom = r + 2 * (cnt - 1)
+            rows = min(nw, bottom + 3)  # window rows a column rotation reaches
+            for p in range(bottom, r + 2 * enter - 1, -2):
+                x = p * ld + p - 1  # flat offset of both[p, p - 1]
+                c, s, _ = zlartg(item(x), item(x + ld))
+                zrot(flat, flat, c, s, ld - p + 1, x, 1, x + ld, 1, 1, 1)
+                flat[x + ld] = 0.0
+                zrot(flat, flat, c, s.conjugate(), rows, p, ld, p + 1, ld, 1, 1)
+                rows = p + 1
+            if enter:
+                x = r * ld + r
+                c, s, _ = zlartg(item(x) - shifts[kb], item(x + ld))
+                zrot(flat, flat, c, s, ld - r, x, 1, x + ld, 1, 1, 1)
+                zrot(flat, flat, c, s.conjugate(), rows, r, ld, r + 1, ld, 1, 1)
+        h[w0:w1, w0:w1] = both[:, :nw]
         _apply_window(h, q, lo, hi, w0, w1, both[:, nw:].conj().T)
         t0 = t1
 
@@ -510,8 +487,10 @@ def _triangularize(h: np.ndarray, q: np.ndarray | None) -> None:
     Each iteration works on the unreduced block at the bottom.  Below the
     crossover it is one single-shift sweep with a Wilkinson shift, or an
     exceptional one on stall.  Above, it is one aggressive early deflation
-    and one multishift sweep, chased as chains of at most ``_CHAIN`` bulges,
-    whose shifts are the eigenvalues the deflation window did not deflate.
+    and one multishift sweep, chased as one chain of at most ``_MAX_SHIFTS``
+    bulges, whose shifts are the eigenvalues the deflation window did not
+    deflate.  ``zlartg`` and ``zrot`` generate and apply every rotation:
+    those of the single-shift sweeps, of the window swaps and of the chase.
     """
     # zrot works on the flat buffers in place; f2py would silently rotate a
     # copy of any other layout or dtype.
@@ -556,8 +535,7 @@ def _triangularize(h: np.ndarray, q: np.ndarray | None) -> None:
         shifts = shifts[-ns:]
         spent += shifts.size
         _check_budget(spent, h)
-        for c in range(0, shifts.size, _CHAIN):
-            _chase(h, q, lo, hi, shifts[c : c + _CHAIN])
+        _chase(h, q, lo, hi, shifts)
 
 
 def _reduce(h: np.ndarray, q: np.ndarray | None) -> None:

@@ -202,6 +202,9 @@ def test_criterion_08_volume_estimator_ordering():
 
 
 def test_criterion_09_dimension_scan_trend_and_identities():
+    """The scan's delta-hat rises as eps falls.  At fixed bigN and k its
+    limit is 2 - 1/bigN - 1/n, with n = bigN * k, not the paper's 2, so only
+    the trend and the identities are asserted."""
     with budget(900.0):
         grid = [1e-2, 1e-3, 1e-4, 1e-5, 1e-6]
         rows = dimension.dimension_scan(

@@ -98,6 +98,21 @@ def test_microstate_retains_only_z():
     assert retained <= 1.1 * k * k * 16
 
 
+def test_microstate_peak_memory_at_k_512():
+    # y, z and one block's float draws: 2.50 k x k complex matrices measured
+    # for a Dirac mu, whose one block is the whole matrix.  Drawing the block
+    # into a fresh array, copying it into z and forming z - y as a new
+    # matrix measured 3.50.
+    k = 512
+    tracemalloc.start()
+    try:
+        brown.perturbed_microstate(DELTA0, 1.0, 0.5, k, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.6 * k * k * 16
+
+
 def test_microstate_deterministic_per_seed():
     a = brown.perturbed_microstate(DELTA0, 1.0, 0.5, 32, seed=7)
     b = brown.perturbed_microstate(DELTA0, 1.0, 0.5, 32, seed=7)

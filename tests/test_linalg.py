@@ -514,6 +514,29 @@ def test_a_block_below_the_crossover_is_solved_with_its_standalone_bytes():
     assert np.diag(h)[lo:].tobytes() == np.diag(blk).tobytes()
 
 
+@pytest.mark.parametrize("m", [1, 16, 64])
+def test_a_chain_of_m_bulges_is_m_single_shift_sweeps(m):
+    # Implicit Q: chasing m bulges is m single-shift sweeps with the same
+    # shifts, up to a unitary diagonal scaling, so h and q agree entrywise
+    # in modulus.  The block [lo, hi) sits inside h, and q is kept, so the
+    # rotations also reach the rows above and the columns right of it.
+    n, lo, hi = 200, 12, 188
+    h = np.triu(ginibre(n, 8200 + m), -1)
+    h[lo, lo - 1] = h[hi, hi - 1] = 0.0
+    q = np.linalg.qr(ginibre(n, 8300 + m))[0]
+    a = q @ h @ q.conj().T
+    shifts = 0.3 * np.exp(2j * np.pi * np.random.default_rng(m).random(m))
+    hs, qs = h.copy(), q.copy()
+    for shift in shifts:
+        linalg._qr_sweep(hs, qs, lo, hi, shift)
+    linalg._chase(h, q, lo, hi, shifts)
+    assert np.abs(np.abs(h) - np.abs(hs)).max() <= 1e-12 * np.abs(h).max()
+    assert np.abs(np.abs(q) - np.abs(qs)).max() <= 1e-12
+    assert np.linalg.norm(q.conj().T @ q - np.eye(n)) <= 1e-12
+    assert np.linalg.norm(a - q @ h @ q.conj().T) <= 1e-12 * np.linalg.norm(a)
+    assert not np.tril(h, -2).any()
+
+
 # ----------------------------------------------------------------------------
 # Rotation bytes: the solver's inline zrot calls against a reference sweep
 # and swap that route every rotation through a row or a column helper
