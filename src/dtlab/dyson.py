@@ -148,7 +148,6 @@ def log_separation_integral_mc(
     filled = 0
     attempts = 0
     attempt_cap = _RESAMPLE_ROUNDS * trials
-    chunk_cap = max(1, (1 << 22) // iu.size)
     block_rows = max(1, _BLOCK_PAIRS // iu.size)
     while filled < trials:
         if attempts >= attempt_cap:
@@ -156,32 +155,30 @@ def log_separation_integral_mc(
                 f"could not draw {trials} nondegenerate samples "
                 f"in {attempt_cap} attempts"
             )
-        draw = min(trials - filled, chunk_cap)
+        draw = min(trials - filled, block_rows)
         attempts += draw
         us = rng.uniform(-eps, eps, size=(draw, n))
         ut = rng.uniform(-eps, eps, size=(draw, n))
-        # The pair arithmetic runs in place over row blocks that stay in
+        # The pair arithmetic runs in place over a block that stays in
         # cache.  Each value is rounded as in (base + u_i - u_j)^2 + (...)^2,
-        # and take() keeps the blocks C-contiguous, so every row sums its logs
+        # and take() keeps the block C-contiguous, so every row sums its logs
         # in one order whatever the block size.
-        for r in range(0, draw, block_rows):
-            ub, vb = us[r : r + block_rows], ut[r : r + block_rows]
-            sq = ub.take(iu, axis=1)
-            sq += base_s
-            sq -= ub.take(ju, axis=1)
-            sq *= sq
-            dt = vb.take(iu, axis=1)
-            dt += base_t
-            dt -= vb.take(ju, axis=1)
-            dt *= dt
-            sq += dt
-            good = (sq > 0.0).all(axis=1)
-            if not good.all():
-                sq = sq[good]
-            vals = np.log(sq, out=sq).sum(axis=1)
-            logg[filled : filled + vals.size] = vals
-            filled += vals.size
-            resampled += ub.shape[0] - vals.size
+        sq = us.take(iu, axis=1)
+        sq += base_s
+        sq -= us.take(ju, axis=1)
+        sq *= sq
+        dt = ut.take(iu, axis=1)
+        dt += base_t
+        dt -= ut.take(ju, axis=1)
+        dt *= dt
+        sq += dt
+        good = (sq > 0.0).all(axis=1)
+        if not good.all():
+            sq = sq[good]
+        vals = np.log(sq, out=sq).sum(axis=1)
+        logg[filled : filled + vals.size] = vals
+        filled += vals.size
+        resampled += draw - vals.size
     # Log-mean-exp with delete-one jackknife on the log scale.
     lse_all = float(logsumexp(logg))
     full = lse_all - math.log(trials)

@@ -6,18 +6,17 @@ eigenvalue path whose behaviour is fully under our control: Householder
 reduction to Hessenberg form, then the small-bulge multishift QR algorithm
 with aggressive early deflation of Braman, Byers and Mathias (SIAM J. Matrix
 Anal. Appl. 23(4), 2002), the design of LAPACK's xLAQR0.  The same driver
-loop finishes small blocks in place, with no block copy, by explicitly
-shifted single-shift QR with Wilkinson shifts, and the deflation windows in
-recursive calls of its own.  Small means below ``_MULTISHIFT_MIN`` = 96 rows
-when the Schur vectors are kept, and below ``_EIG_MULTISHIFT_MIN`` = 416 for
-eigenvalues alone, where single-shift QR rotates only the active block and
-outruns the bulge chase.  Shifts, deflation and the bulge chase are written
-here; from LAPACK only the plane-rotation auxiliaries ``zlartg`` (generate)
-and ``zrot`` (apply) are called.  They generate and apply every rotation of
-the QR phase: single-shift sweeps, the swaps of the deflation windows and
-the bulge chase.  No LAPACK eigenvalue or Schur routine is called.  The
-LU-based log-determinant is the deliberately separate second route used by
-the density-field estimator.
+loop finishes small blocks in place, with no block copy, by single-shift QR
+with Wilkinson shifts, each sweep the chase of one implicit bulge, and the
+deflation windows in recursive calls of its own.  Small means below
+``_MULTISHIFT_MIN`` = 96 rows when the Schur vectors are kept, and below
+``_EIG_MULTISHIFT_MIN`` = 416 for eigenvalues alone, where single-shift QR
+rotates only the active block and outruns the bulge chase.  Shifts,
+deflation and the bulge chase are written here; from LAPACK only the
+plane-rotation auxiliaries ``zlartg`` (generate) and ``zrot`` (apply) are
+called, for every rotation of the QR phase.  No LAPACK eigenvalue or Schur
+routine is called.  The LU-based log-determinant is the deliberately
+separate second route used by the density-field estimator.
 
 Intended scale is dense matrices up to a couple thousand rows in double
 precision.
@@ -162,10 +161,7 @@ def _reflector(x: np.ndarray) -> tuple[np.ndarray | None, complex]:
     v = x.copy()
     # Reflect onto -phase*xnorm*e1; the sign choice avoids cancellation.
     v[0] += phase * xnorm
-    vnorm = float(np.linalg.norm(v))
-    if vnorm <= 1e-300:
-        return None, 0.0
-    v /= vnorm
+    v /= float(np.linalg.norm(v))  # |v[0]| = |x0| + xnorm: never tiny
     return v, -phase * xnorm
 
 
@@ -267,41 +263,32 @@ def _span(h: np.ndarray, q: np.ndarray | None, lo: int, hi: int) -> tuple[int, i
 def _qr_sweep(
     h: np.ndarray, q: np.ndarray | None, lo: int, hi: int, shift: complex
 ) -> None:
-    """One explicit shifted QR similarity step on the active block [lo, hi).
-
-    Row rotations from LAPACK's ``zlartg`` reduce h - shift*I to triangular
-    form; ``zrot`` applies each to two rows of h, and its adjoint to two
-    columns of h and of q.  The column rotation at i is applied as soon as
-    the row rotation at i + 1 has finished row i + 1, the last row it
-    reaches.
-    """
+    """One single-shift QR step on the active block [lo, hi): the chase of one
+    implicit bulge, made from the shift as in :func:`_chase`.  ``zlartg``
+    generates each rotation and ``zrot`` applies it to two rows of h, then
+    its adjoint to two columns of h, down to the bulge, and of q."""
     n = h.shape[0]
     row_start, col_end = _span(h, q, lo, hi)
     flat = h.reshape(-1)
     qflat = None if q is None else q.reshape(-1)
-    diag = flat[lo * (n + 1) : (hi - 1) * (n + 1) + 1 : n + 1]
-    diag -= shift
     item = flat.item
-    # (c, conj(s)) of the last row rotation, whose columns are still to do.
-    pending = None
-    for i in range(lo, hi):
-        adj = None
-        if i < hi - 1:
-            ii = i * (n + 1)  # flat offset of h[i, i]; h[i + 1, i] is at ii + n
-            c, s, _ = zlartg(item(ii), item(ii + n))
-            if s != 0.0:
-                zrot(flat, flat, c, s, col_end - i, ii, 1, ii + n, 1, 1, 1)
-                flat[ii + n] = 0.0
-                adj = c, s.conjugate()
-        if pending is not None:
-            # Columns i - 1 and i, rows [row_start, i + 1) of h and all of q.
-            c, s = pending
-            top = row_start * n + i - 1
-            zrot(flat, flat, c, s, i + 1 - row_start, top, n, top + 1, n, 1, 1)
-            if qflat is not None:
-                zrot(qflat, qflat, c, s, n, i - 1, n, i, n, 1, 1)
-        pending = adj
-    diag += shift
+    x = lo * (n + 1)  # flat offset of h[lo, lo]; h[lo + 1, lo] is at x + n
+    c, s, _ = zlartg(item(x) - shift, item(x + n))
+    zrot(flat, flat, c, s, col_end - lo, x, 1, x + n, 1, 1, 1)
+    for j in range(lo + 1, hi - 1):
+        # The last rotation's adjoint: columns j - 1, j of h, rows to j + 1, and of q.
+        top = row_start * n + j - 1
+        zrot(flat, flat, c, s.conjugate(), j + 2 - row_start, top, n, top + 1, n, 1, 1)
+        if qflat is not None:
+            zrot(qflat, qflat, c, s.conjugate(), n, j - 1, n, j, n, 1, 1)
+        x = j * (n + 1) - 1  # flat offset of h[j, j - 1]
+        c, s, _ = zlartg(item(x), item(x + n))
+        zrot(flat, flat, c, s, col_end - j + 1, x, 1, x + n, 1, 1, 1)
+        flat[x + n] = 0.0
+    top = row_start * n + hi - 2
+    zrot(flat, flat, c, s.conjugate(), hi - row_start, top, n, top + 1, n, 1, 1)
+    if qflat is not None:
+        zrot(qflat, qflat, c, s.conjugate(), n, hi - 2, n, hi - 1, n, 1, 1)
 
 
 def _split(h: np.ndarray, hi: int, anorm: float) -> int:
@@ -485,12 +472,12 @@ def _triangularize(h: np.ndarray, q: np.ndarray | None) -> None:
     the active block is updated, which leaves the diagonal the same.
 
     Each iteration works on the unreduced block at the bottom.  Below the
-    crossover it is one single-shift sweep with a Wilkinson shift, or an
-    exceptional one on stall.  Above, it is one aggressive early deflation
-    and one multishift sweep, chased as one chain of at most ``_MAX_SHIFTS``
-    bulges, whose shifts are the eigenvalues the deflation window did not
-    deflate.  ``zlartg`` and ``zrot`` generate and apply every rotation:
-    those of the single-shift sweeps, of the window swaps and of the chase.
+    crossover it is one single-shift sweep, the chase of one implicit bulge
+    made from a Wilkinson shift, or an exceptional one on stall.  Above, it
+    is one aggressive early deflation and one multishift sweep, chased as
+    one chain of at most ``_MAX_SHIFTS`` bulges, whose shifts are the
+    eigenvalues the deflation window did not deflate.  ``zlartg`` and
+    ``zrot`` generate and apply every rotation.
     """
     # zrot works on the flat buffers in place; f2py would silently rotate a
     # copy of any other layout or dtype.
@@ -538,6 +525,22 @@ def _triangularize(h: np.ndarray, q: np.ndarray | None) -> None:
         _chase(h, q, lo, hi, shifts)
 
 
+def _pow2(x: np.ndarray, e: int) -> np.ndarray:
+    """x * 2^e for a C-contiguous complex array x; x itself when e = 0."""
+    return np.ldexp(x.view(np.float64), e).view(np.complex128) if e else x
+
+
+def _scaled(a) -> tuple[np.ndarray, int]:
+    """``a`` as a C-contiguous complex array times 2^-e, and e.  As in
+    LAPACK's xGEEV, e is 0 unless the largest real or imaginary part, outside
+    [2^-400, 2^400], could make a norm under- or overflow; then the exact
+    scaling by a power of two takes that part into [1/2, 1)."""
+    m = np.ascontiguousarray(as_square_matrix(a))
+    amax = float(np.abs(m.view(np.float64)).max())
+    e = 0 if 2.0**-400 <= amax <= 2.0**400 else math.frexp(amax)[1]  # 0 for 0.0
+    return _pow2(m, -e), e
+
+
 def _reduce(h: np.ndarray, q: np.ndarray | None) -> None:
     """Triangularize h in place; a ConvergenceError also names h's size."""
     _hessenberg(h, q)
@@ -553,26 +556,24 @@ def schur(a) -> SchurForm:
     Householder Hessenberg reduction, then multishift QR with aggressive
     early deflation; active blocks below ``_MULTISHIFT_MIN`` (96) rows, in
     place, and the deflation windows are finished by single-shift QR with
-    Wilkinson shifts and exceptional shifts on stall, whose rotations
-    LAPACK's ``zlartg`` and ``zrot`` generate and apply.  No LAPACK
-    eigensolver is called.  Deflation is relative-threshold.
+    Wilkinson shifts and exceptional shifts on stall, each sweep the chase
+    of one implicit bulge.  Deflation is relative-threshold.  A tiny or huge
+    ``a`` is solved scaled by a power of two, and ``t`` scaled back;
+    ``residual`` is that of the scaled solve.
     Raises :class:`ConvergenceError` when a driver call spends more than 30
     shifts per row of the matrix it is handed, small blocks included (a
     single-shift sweep spends one shift, a multishift sweep one per bulge).
     The AED windows and the shift-finding tail are calls of their own.
     """
-    m = as_square_matrix(a)
+    m, e = _scaled(a)
     n = m.shape[0]
     h = m.copy()
     q = np.eye(n, dtype=np.complex128)
     _reduce(h, q)
     t = np.triu(h)
-    anorm = float(np.linalg.norm(m))
-    if anorm == 0.0:
-        residual = 0.0
-    else:
-        residual = float(np.linalg.norm(m - q @ t @ q.conj().T) / anorm)
-    return SchurForm(t=t, q=q, residual=residual)
+    anorm = np.linalg.norm(m) or 1.0  # a zero m leaves a zero remainder
+    residual = float(np.linalg.norm(m - q @ t @ q.conj().T) / anorm)
+    return SchurForm(t=_pow2(t, e), q=q, residual=residual)
 
 
 def eigenvalues(a) -> np.ndarray:
@@ -584,11 +585,12 @@ def eigenvalues(a) -> np.ndarray:
     it is and is much faster at large dimension.  Single-shift QR is then
     faster up to about 400 rows, so multishift QR takes over only at
     ``_EIG_MULTISHIFT_MIN`` (416) rows, for the matrix and its blocks alike.
-    No reflector or sweep crosses an exactly zero coupling: for a block
-    upper triangular ``a``, ``eigenvalues(a)[lo:hi]`` is the spectrum of the
-    diagonal block ``a[lo:hi, lo:hi]``, and a 1 x 1 block gives its entry.
+    A tiny or huge ``a`` is scaled as in :func:`schur`.  No reflector or
+    sweep crosses an exactly zero coupling: for a block upper triangular
+    ``a``, ``eigenvalues(a)[lo:hi]`` is the spectrum of the diagonal block
+    ``a[lo:hi, lo:hi]``, and a 1 x 1 block gives its entry.
     """
-    m = as_square_matrix(a)
+    m, e = _scaled(a)
     h = m.copy()
     _reduce(h, None)
-    return np.diag(h).copy()
+    return _pow2(np.diag(h).copy(), e)

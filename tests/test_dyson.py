@@ -212,11 +212,11 @@ def test_mc_translation_equivariance():
 
 
 def gather_separation_mc(points, eps, trials, seed):
-    """Reference Monte Carlo estimator: each chunk's pair values in one gather.
+    """Reference Monte Carlo estimator: each block's pair values in one gather.
 
-    Draws the same random stream as the library, evaluates every pair of a
-    whole chunk at once, and applies the same log-mean-exp, jackknife and
-    Jensen formulas.
+    Draws the same random stream as the library, in the same blocks,
+    evaluates every pair of a block at once, and applies the same
+    log-mean-exp, jackknife and Jensen formulas.
     """
     z = np.asarray(points, dtype=np.complex128).ravel()
     n = z.size
@@ -227,9 +227,9 @@ def gather_separation_mc(points, eps, trials, seed):
     base_t = z.imag[iu] - z.imag[ju]
     logg = np.empty(trials)
     resampled = filled = 0
-    chunk_cap = max(1, (1 << 22) // iu.size)
+    block_rows = max(1, dyson._BLOCK_PAIRS // iu.size)
     while filled < trials:
-        draw = min(trials - filled, chunk_cap)
+        draw = min(trials - filled, block_rows)
         us = rng.uniform(-eps, eps, size=(draw, n))
         ut = rng.uniform(-eps, eps, size=(draw, n))
         ds = base_s[None, :] + us[:, iu] - us[:, ju]
@@ -271,7 +271,7 @@ def _scattered(n: int, seed: int) -> np.ndarray:
         (_scattered(2, 1), 0.05, 70001),
         # 21 pairs: 3120-row blocks.
         (_scattered(7, 2), 0.01, 10007),
-        # 1128 pairs: 3718-row chunks of 58-row blocks, two chunk boundaries.
+        # 1128 pairs: 58-row blocks.
         (_scattered(48, 3), 0.01, 7777),
         # Coincident points at eps = 1e-161: a squared separation underflows
         # to zero in about 1% of pairs, which forces redraws.

@@ -340,6 +340,21 @@ def test_eigenvalues_match_lapack_around_the_crossover(n):
         assert err <= 1e-12, f"n={n} seed={seed}: {err:.3e}"
 
 
+@pytest.mark.parametrize("p", [-600, 600])
+def test_tiny_and_huge_matrices_are_solved_scaled(p):
+    # Entries near 2^-600 square to zero and entries near 2^600 to infinity,
+    # so the solve runs on a scaled copy and scales t and the spectrum back.
+    a = ginibre(64, 3)
+    b = a * 2.0**p
+    ref = np.linalg.eigvals(a) * 2.0**p
+    assert matched_rel_err(linalg.eigenvalues(b), ref) <= 1e-12
+    sf = linalg.schur(b)
+    assert matched_rel_err(np.diag(sf.t), ref) <= 1e-12
+    assert 0.0 < sf.residual <= 1e-12
+    back = sf.q @ (sf.t * 2.0**-p) @ sf.q.conj().T
+    assert np.linalg.norm(a - back) <= 1e-12 * np.linalg.norm(a)
+
+
 @pytest.mark.parametrize(
     "specs, k, multishift",
     [
@@ -514,12 +529,50 @@ def test_a_block_below_the_crossover_is_solved_with_its_standalone_bytes():
     assert np.diag(h)[lo:].tobytes() == np.diag(blk).tobytes()
 
 
+@pytest.mark.parametrize("n, lo, hi", [(2, 0, 2), (3, 0, 3), (8, 0, 8), (40, 5, 33)])
+@pytest.mark.parametrize("keep_q", [True, False], ids=["schur", "eigenvalues"])
+def test_a_single_shift_sweep_is_one_explicit_qr_step(n, lo, hi, keep_q):
+    # Oracle: Q, R = qr(H - shift I) and H' = RQ + shift I on the block, by
+    # LAPACK.  By the implicit Q theorem the sweep's rotations make Q up to a
+    # unitary diagonal scaling, so every entry agrees in modulus.  With q
+    # kept, the rows above the block take h[:lo, lo:hi] Q, the columns right
+    # of it Q* h[lo:hi, hi:], and q takes q[:, lo:hi] Q; without q, nothing
+    # outside the block moves.
+    h = np.triu(ginibre(n, 8400 + n), -1)
+    if lo:
+        h[lo, lo - 1] = 0.0
+    if hi < n:
+        h[hi, hi - 1] = 0.0
+    q = np.linalg.qr(ginibre(n, 8500 + n))[0] if keep_q else None
+    shift = 0.3 - 0.2j
+    blk = h[lo:hi, lo:hi]
+    qb, r = np.linalg.qr(blk - shift * np.eye(hi - lo))
+    want = h.copy()
+    want[lo:hi, lo:hi] = r @ qb + shift * np.eye(hi - lo)
+    got = h.copy()
+    got_q = None if q is None else q.copy()
+    linalg._qr_sweep(got, got_q, lo, hi, shift)
+    scale = np.abs(h).max()
+    if keep_q:
+        want[:lo, lo:hi] = h[:lo, lo:hi] @ qb
+        want[lo:hi, hi:] = qb.conj().T @ h[lo:hi, hi:]
+        assert np.abs(np.abs(got) - np.abs(want)).max() <= 1e-14 * scale
+        want_q = q.copy()
+        want_q[:, lo:hi] = q[:, lo:hi] @ qb
+        assert np.abs(np.abs(got_q) - np.abs(want_q)).max() <= 1e-14
+    else:
+        inside = np.zeros((n, n), dtype=bool)
+        inside[lo:hi, lo:hi] = True
+        assert got[~inside].tobytes() == h[~inside].tobytes()
+        assert np.abs(np.abs(got) - np.abs(want)).max() <= 1e-14 * scale
+
+
 @pytest.mark.parametrize("m", [1, 16, 64])
 def test_a_chain_of_m_bulges_is_m_single_shift_sweeps(m):
-    # Implicit Q: chasing m bulges is m single-shift sweeps with the same
-    # shifts, up to a unitary diagonal scaling, so h and q agree entrywise
-    # in modulus.  The block [lo, hi) sits inside h, and q is kept, so the
-    # rotations also reach the rows above and the columns right of it.
+    # Chasing m bulges is m single-shift sweeps with the same shifts, each
+    # the chase of one bulge, so h and q agree entrywise.  The block
+    # [lo, hi) sits inside h, and q is kept, so the rotations also reach the
+    # rows above and the columns right of it.
     n, lo, hi = 200, 12, 188
     h = np.triu(ginibre(n, 8200 + m), -1)
     h[lo, lo - 1] = h[hi, hi - 1] = 0.0
@@ -530,8 +583,8 @@ def test_a_chain_of_m_bulges_is_m_single_shift_sweeps(m):
     for shift in shifts:
         linalg._qr_sweep(hs, qs, lo, hi, shift)
     linalg._chase(h, q, lo, hi, shifts)
-    assert np.abs(np.abs(h) - np.abs(hs)).max() <= 1e-12 * np.abs(h).max()
-    assert np.abs(np.abs(q) - np.abs(qs)).max() <= 1e-12
+    assert np.abs(h - hs).max() <= 1e-12 * np.abs(h).max()
+    assert np.abs(q - qs).max() <= 1e-12
     assert np.linalg.norm(q.conj().T @ q - np.eye(n)) <= 1e-12
     assert np.linalg.norm(a - q @ h @ q.conj().T) <= 1e-12 * np.linalg.norm(a)
     assert not np.tril(h, -2).any()
@@ -559,27 +612,18 @@ def _reference_qr_sweep(h, q, lo, hi, shift):
     row_start, col_end = linalg._span(h, q, lo, hi)
     flat = h.reshape(-1)
     qflat = None if q is None else q.reshape(-1)
-    diag = flat[lo * (n + 1) : (hi - 1) * (n + 1) + 1 : n + 1]
-    diag -= shift
-    item = h.item
-    pending = None
-    for i in range(lo, hi - 1):
-        c, s, _ = zlartg(item(i, i), item(i + 1, i))
-        adj = None
-        if s != 0.0:
-            _rotate_rows(flat, n, i, i, col_end, c, s)
-            h[i + 1, i] = 0.0
-            adj = c, s.conjugate()
-        if pending is not None:
-            _rotate_columns(flat, n, row_start, i + 1, i - 1, *pending)
-            if qflat is not None:
-                _rotate_columns(qflat, n, 0, n, i - 1, *pending)
-        pending = adj
-    if pending is not None:
-        _rotate_columns(flat, n, row_start, hi, hi - 2, *pending)
+    c, s, _ = zlartg(h.item(lo, lo) - shift, h.item(lo + 1, lo))
+    _rotate_rows(flat, n, lo, lo, col_end, c, s)
+    for j in range(lo + 1, hi - 1):
+        _rotate_columns(flat, n, row_start, j + 2, j - 1, c, s.conjugate())
         if qflat is not None:
-            _rotate_columns(qflat, n, 0, n, hi - 2, *pending)
-    diag += shift
+            _rotate_columns(qflat, n, 0, n, j - 1, c, s.conjugate())
+        c, s, _ = zlartg(h.item(j, j - 1), h.item(j + 1, j - 1))
+        _rotate_rows(flat, n, j, j - 1, col_end, c, s)
+        h[j + 1, j - 1] = 0.0
+    _rotate_columns(flat, n, row_start, hi, hi - 2, c, s.conjugate())
+    if qflat is not None:
+        _rotate_columns(qflat, n, 0, n, hi - 2, c, s.conjugate())
 
 
 def _reference_swap_up(t, v, j, i):
