@@ -79,8 +79,9 @@ def perturbed_microstate(
     runs = tuple(slice(end - m, end) for _, m, end in zip(mu.atoms, counts, ends))
     p = np.zeros((k, k), dtype=np.complex128)
     for i, ((_, a), m, run) in enumerate(zip(mu.atoms, counts, runs)):
+        variance = ensembles._entry_variance(c, a * k)
         ensembles._complex_normal(
-            substream(seed, 3, i), (m, m), c * c / (a * k), out=p[run, run]
+            substream(seed, 3, i), (m, m), variance, out=p[run, run]
         )
     if not mu.atoms:
         warnings.warn(
@@ -98,14 +99,6 @@ def perturbed_microstate(
 
 # ----------------------------------------------------------------------------
 # Log-determinant density route
-
-
-def _covering_radius(a: np.ndarray) -> float:
-    """1.1 times the smaller of two spectral radius bounds of a: the power
-    bound and the largest absolute row sum."""
-    return 1.1 * min(
-        linalg.spectral_radius_bound(a), float(np.abs(a).sum(axis=1).max())
-    )
 
 
 @dataclass(frozen=True)
@@ -134,7 +127,7 @@ class GridSpec:
         k^3 exceeds ``MAX_GRID_COST``."""
         if not (delta_reg > 0):
             raise ValueError(f"delta_reg must be positive, got {delta_reg}")
-        half = _covering_radius(a) + 2.0 * delta_reg
+        half = 1.1 * linalg.spectral_radius_bound(a) + 2.0 * delta_reg
         k = np.shape(a)[0]
         span = 2.0 * half / delta_reg
         n = math.ceil(span) + 1 if math.isfinite(span) else math.inf
@@ -214,7 +207,7 @@ def brown_logdet_grid(a: np.ndarray, grid: GridSpec, delta_reg: float) -> Densit
             f"grid spacing {h:.4g} exceeds delta_reg {delta_reg:.4g}; "
             "refine the grid or increase the regularization"
         )
-    bound = _covering_radius(a)
+    bound = 1.1 * linalg.spectral_radius_bound(a)
     if grid.half < bound:
         raise ValueError(
             f"grid must cover the disk of radius {bound:.4g} around the origin"
@@ -241,12 +234,12 @@ def brown_logdet_grid(a: np.ndarray, grid: GridSpec, delta_reg: float) -> Densit
 
 
 def radial_cdf_distance(points, center: complex, radius: float) -> float:
-    """Sup distance on t in [0, 1.5] between the scaled radial empirical CDF
-    and the uniform-disk law min(t^2, 1).
+    """One-sample Kolmogorov-Smirnov statistic of the scaled radii against
+    the uniform-disk law min(t^2, 1): sup over t >= 0 of |F(t) - min(t^2, 1)|,
+    where F(t) is the fraction of points with |p - center| <= t * radius.
 
-    F(t) is the fraction of points with |p - center| <= t * radius; the sup
-    runs over both one-sided limits at every jump inside [0, 1.5] plus the
-    right endpoint, which accounts for mass beyond 1.5 * radius.
+    The sup is taken at both one-sided limits of F at each sorted radius s_i,
+    as the larger of i/n - g_i and g_i - (i - 1)/n with g_i = min(s_i^2, 1).
     """
     if not (radius > 0):
         raise ValueError("radius must be positive")
@@ -254,15 +247,9 @@ def radial_cdf_distance(points, center: complex, radius: float) -> float:
     n = s.size
     if n == 0:
         raise ValueError("need at least one point")
-    inside = s[s <= 1.5]
-    g = np.minimum(inside**2, 1.0)
-    hi = (np.arange(1, inside.size + 1)) / n
-    lo = (np.arange(0, inside.size)) / n
-    best = 0.0
-    if inside.size:
-        best = float(np.maximum(np.abs(hi - g), np.abs(lo - g)).max())
-    f_end = inside.size / n
-    return max(best, abs(f_end - 1.0))
+    g = np.minimum(s**2, 1.0)
+    steps = np.arange(n + 1) / n
+    return float(max((steps[1:] - g).max(), (g - steps[:-1]).max()))
 
 
 def radial_cdf_curve(points, center: complex, radius: float):

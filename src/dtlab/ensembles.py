@@ -72,6 +72,17 @@ def _complex_normal(
     return out
 
 
+def _entry_variance(c: float, n: float) -> float:
+    """c^2 / n, the entry variance of a Gaussian block at scale c; refuses a
+    c so large that it overflows."""
+    variance = c * c / n
+    if not math.isfinite(variance):
+        raise ValueError(
+            f"c = {c:.4g} is too large: the entry variance c^2 / {n:.4g} overflows"
+        )
+    return variance
+
+
 def sample_ginibre(k: int, variance: float, seed: int) -> np.ndarray:
     """k x k matrix of iid centered complex Gaussians, E|entry|^2 = variance."""
     if k < 1:
@@ -148,13 +159,12 @@ def assemble_block_dt(
     n = bigN * k
     z = np.zeros((n, n), dtype=np.complex128)
     c_block = c / math.sqrt(bigN)
-    var_upper = c * c / (bigN * k)
     for i in range(bigN):
         sl = slice(i * k, (i + 1) * k)
         z[sl, sl] = sample_dt(DTParams(mu, c_block, k, derive_seed(seed, 4, i)))
         for j in range(i + 1, bigN):
             z[sl, j * k : (j + 1) * k] = _complex_normal(
-                substream(seed, 4, i, j), (k, k), var_upper
+                substream(seed, 4, i, j), (k, k), _entry_variance(c, bigN * k)
             )
     return z
 

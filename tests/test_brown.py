@@ -8,10 +8,12 @@ known in closed form.
 import json
 import math
 import tracemalloc
+import warnings
 from dataclasses import asdict
 
 import numpy as np
 import pytest
+from scipy.stats import ks_1samp
 
 from dtlab import brown, cli, ensembles, linalg, measures
 from dtlab.brown import DensityField, GridSpec
@@ -113,6 +115,17 @@ def test_microstate_peak_memory_at_k_512():
     assert peak <= 2.6 * k * k * 16
 
 
+def test_microstate_refuses_a_c_whose_variance_overflows():
+    # c^2 / (a k) overflows above c of about 1.3e154: refused by name before
+    # the draw, with no RuntimeWarning from the NaNs it would make.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"c = 1e\+160 is too large"):
+            brown.perturbed_microstate(DELTA0, 1e160, 0.5, 8, seed=1)
+        pair = brown.perturbed_microstate(DELTA0, 1e150, 0.5, 8, seed=1)
+    assert np.isfinite(pair.z).all()
+
+
 def test_microstate_deterministic_per_seed():
     a = brown.perturbed_microstate(DELTA0, 1.0, 0.5, 32, seed=7)
     b = brown.perturbed_microstate(DELTA0, 1.0, 0.5, 32, seed=7)
@@ -143,6 +156,30 @@ def test_radial_distance_of_quantile_points_is_half_spacing():
     assert brown.radial_cdf_distance(pts, 0j, 1.0) == pytest.approx(
         1.0 / (2 * n), abs=1e-10
     )
+
+
+def test_radial_distance_is_the_one_sample_ks_statistic():
+    # scipy's Kolmogorov-Smirnov statistic against the disk law min(t^2, 1)
+    # shares no code with the distance, and must give the same bytes.
+    rng = np.random.default_rng(28)
+    cloud = rng.standard_normal(200) + 1j * rng.standard_normal(200)
+    clouds = {
+        "gaussian": cloud,
+        "ties": np.repeat(cloud[:20], 5),
+        "radii 1 and 1.5": np.concatenate([cloud[:30], np.ones(7), np.full(5, 1.5j)]),
+        "all beyond 1.5": 1.6 + np.abs(cloud[:9]),
+        "one inside": np.array([0.3 + 0.4j]),
+        "one beyond": np.array([2.0]),
+        "one at 1.5": np.array([1.5]),
+        "quantile disk": measures.disk_quantile_points(0j, 1.0, 64),
+    }
+    for name, pts in clouds.items():
+        for radius in (1.0, 0.7):
+            expected = ks_1samp(
+                np.abs(pts) / radius, lambda t: np.minimum(t * t, 1.0), method="asymp"
+            ).statistic
+            got = brown.radial_cdf_distance(pts, 0j, radius)
+            assert got == expected, (name, radius)
 
 
 def test_radial_curve_is_an_empirical_cdf():

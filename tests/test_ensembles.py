@@ -11,6 +11,7 @@ import math
 import operator
 import re
 import tracemalloc
+import warnings
 from collections import defaultdict
 from functools import cache, reduce
 
@@ -136,6 +137,15 @@ def test_block_point_mass_stays_strictly_upper():
     b = ensembles.assemble_block_dt(DELTA0, 1.0, bigN=4, k=8, seed=5)
     assert b.shape == (32, 32)
     assert np.allclose(np.tril(b), 0.0)
+
+
+def test_block_refuses_a_c_whose_variance_overflows():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"c = 1e\+160 is too large"):
+            ensembles.assemble_block_dt(DELTA0, 1e160, bigN=2, k=8, seed=1)
+        block = ensembles.assemble_block_dt(DELTA0, 1e150, bigN=2, k=8, seed=1)
+    assert np.isfinite(block).all()
 
 
 def test_block_mean_square_trace():

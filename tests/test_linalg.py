@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -173,12 +174,19 @@ def test_lu_logabsdet_stack_matches_scalar_route():
 
 
 def test_spectral_radius_bound_dominates_true_radius():
+    # The bound is taken of a power-of-two scaled copy, so it scales with a
+    # at any scale, with no power under- or overflowing on the way.
     for seed in range(4):
         a = random_complex(9, 300 + seed)
-        rho = np.abs(np.linalg.eigvals(a)).max()
-        bound = linalg.spectral_radius_bound(a)
-        assert bound >= rho - 1e-9
-        assert bound <= float(np.linalg.norm(a)) + 1e-12
+        unscaled = linalg.spectral_radius_bound(a)
+        assert unscaled <= float(np.linalg.norm(a)) + 1e-12
+        for scale in (1.0, 1e60, 1e-60, 1e160, 1e-160, 2.0**600, 2.0**-600):
+            rho = np.abs(np.linalg.eigvals(a * scale)).max()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                bound = linalg.spectral_radius_bound(a * scale)
+            assert bound >= rho * (1.0 - 1e-9), scale
+            assert math.isclose(bound, scale * unscaled, rel_tol=1e-15), scale
 
 
 def test_spectral_radius_bound_nilpotent_tightens_to_zero():
